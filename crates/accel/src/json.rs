@@ -208,6 +208,12 @@ impl fmt::Display for ParseError {
 
 impl std::error::Error for ParseError {}
 
+/// Deepest array/object nesting [`parse`] accepts. The parser recurses
+/// once per level, so the cap keeps hostile input (a history line of
+/// 200k `[`) from overflowing the stack; real reports nest a handful of
+/// levels.
+pub const MAX_DEPTH: usize = 128;
+
 /// Parses a JSON document into a [`Value`].
 ///
 /// Integers without a fraction or exponent become [`Value::UInt`] /
@@ -216,9 +222,10 @@ impl std::error::Error for ParseError {}
 ///
 /// # Errors
 ///
-/// [`ParseError`] with the byte offset of the first violation.
+/// [`ParseError`] with the byte offset of the first violation, including
+/// nesting deeper than [`MAX_DEPTH`].
 pub fn parse(input: &str) -> Result<Value, ParseError> {
-    let mut p = Parser { bytes: input.as_bytes(), pos: 0 };
+    let mut p = Parser { bytes: input.as_bytes(), pos: 0, depth: 0 };
     p.skip_ws();
     let value = p.value()?;
     p.skip_ws();
@@ -231,6 +238,8 @@ pub fn parse(input: &str) -> Result<Value, ParseError> {
 struct Parser<'a> {
     bytes: &'a [u8],
     pos: usize,
+    /// Containers currently open around `pos`.
+    depth: usize,
 }
 
 impl<'a> Parser<'a> {
@@ -272,12 +281,27 @@ impl<'a> Parser<'a> {
             Some(b't') => self.literal("true", Value::Bool(true)),
             Some(b'f') => self.literal("false", Value::Bool(false)),
             Some(b'"') => self.string().map(Value::Str),
-            Some(b'[') => self.array(),
-            Some(b'{') => self.object(),
+            Some(b'[') => self.nested(Self::array),
+            Some(b'{') => self.nested(Self::object),
             Some(b'-' | b'0'..=b'9') => self.number(),
             Some(_) => Err(self.err("unexpected character")),
             None => Err(self.err("unexpected end of input")),
         }
+    }
+
+    /// Parses one container with `parse_container`, refusing to open
+    /// more than [`MAX_DEPTH`] levels.
+    fn nested(
+        &mut self,
+        parse_container: fn(&mut Self) -> Result<Value, ParseError>,
+    ) -> Result<Value, ParseError> {
+        if self.depth == MAX_DEPTH {
+            return Err(self.err("nesting deeper than MAX_DEPTH"));
+        }
+        self.depth += 1;
+        let value = parse_container(self);
+        self.depth -= 1;
+        value
     }
 
     fn array(&mut self) -> Result<Value, ParseError> {
@@ -669,6 +693,18 @@ mod tests {
         }
         let err = parse("[1,]").unwrap_err();
         assert!(err.to_string().contains("byte"));
+    }
+
+    #[test]
+    fn deep_nesting_is_an_error_not_a_stack_overflow() {
+        let err = parse(&"[".repeat(200_000)).unwrap_err();
+        assert_eq!((err.offset, err.message), (MAX_DEPTH, "nesting deeper than MAX_DEPTH"));
+        let at_cap = format!("{}{}", "[".repeat(MAX_DEPTH), "]".repeat(MAX_DEPTH));
+        assert!(parse(&at_cap).is_ok());
+        let over = format!("{}1{}", "{\"k\":".repeat(MAX_DEPTH + 1), "}".repeat(MAX_DEPTH + 1));
+        assert!(parse(&over).is_err());
+        let under = format!("{}1{}", "{\"k\":".repeat(MAX_DEPTH), "}".repeat(MAX_DEPTH));
+        assert!(parse(&under).is_ok());
     }
 
     #[test]

@@ -151,13 +151,17 @@ impl TraceSink for ChannelSink {
 
 /// Worker budget for pipelined mode: `REPRO_THREADS` when set to a valid
 /// count (the same knob the serving pool honours), else the host's
-/// available parallelism.
+/// available parallelism. The hardware count is read once per process;
+/// `REPRO_THREADS` on every call.
 fn batch_workers() -> usize {
+    static HARDWARE: std::sync::OnceLock<usize> = std::sync::OnceLock::new();
     let configured = std::env::var("REPRO_THREADS")
         .ok()
         .and_then(|s| s.trim().parse::<usize>().ok())
         .filter(|&n| n >= 1);
-    configured.unwrap_or_else(|| std::thread::available_parallelism().map_or(1, |n| n.get()))
+    configured.unwrap_or_else(|| {
+        *HARDWARE.get_or_init(|| std::thread::available_parallelism().map_or(1, |n| n.get()))
+    })
 }
 
 /// Drives N independent workload traces to completion, one fresh engine
@@ -288,6 +292,24 @@ mod tests {
         let mut engine = SimdEngine::new(cfg.clone()).expect("valid config");
         let mut block = AccessBlock::new(cfg.line_bytes);
         assert_eq!(run_buffered(&w, &mut engine, &mut block), reference);
+    }
+
+    #[test]
+    fn repro_threads_is_read_on_every_call() {
+        // The hardware count is cached; the override must not be. This
+        // is the only test in the crate that sets the variable, and
+        // run_batch's results do not depend on the worker count.
+        let saved = std::env::var("REPRO_THREADS").ok();
+        std::env::set_var("REPRO_THREADS", "3");
+        assert_eq!(batch_workers(), 3);
+        std::env::set_var("REPRO_THREADS", "1");
+        assert_eq!(batch_workers(), 1, "a changed override is read again");
+        std::env::set_var("REPRO_THREADS", "0");
+        assert!(batch_workers() >= 1, "an invalid override falls back to the hardware");
+        match saved {
+            Some(v) => std::env::set_var("REPRO_THREADS", v),
+            None => std::env::remove_var("REPRO_THREADS"),
+        }
     }
 
     #[test]

@@ -2,7 +2,7 @@
 //! pool of simulated PuDianNao devices and writes `serve_report.json`.
 //!
 //! ```text
-//! serve_bench [--smoke] [--out PATH] [--trace] [--trace-out PATH] [--no-trace-cache]
+//! serve_bench [--smoke] [--out PATH] [--trace] [--trace-out PATH]
 //! ```
 //!
 //! Default mode runs the heavy 100k-request stream on a 4-shard fleet
@@ -17,12 +17,7 @@
 //! `--trace-out` (default `serve_timeline.json`). The report run stays
 //! untraced, so `serve_report.json` is byte-identical either way.
 //!
-//! `--no-trace-cache` disables the per-shard trace-template cache
-//! (`FleetConfig::trace_cache_bytes = 0`) for wall-clock A/B runs. The
-//! cache only moves wall-clock and memory, so the report file and every
-//! pinned `[serve]` line except `trace_cache` itself stay byte-identical
-//! with it on or off; the wall-clock itself is printed to stderr so
-//! stdout stays reproducible.
+//! The run's wall-clock goes to stderr, so stdout stays reproducible.
 
 use pudiannao_accel::json::Value;
 use pudiannao_serve::{
@@ -48,21 +43,6 @@ fn print_summary(mode: &str, report: &ServeReport) {
         report.p50_ns, report.p99_ns, report.p999_ns, report.max_ns
     );
     println!("[serve] throughput_rps {:.1}", report.throughput_rps);
-    // Deterministic (slot decisions depend only on the trace shapes and
-    // the byte budget), so check.sh pins this line like the counters.
-    match &report.trace_cache {
-        Some(tc) => println!(
-            "[serve] trace_cache hits {} misses {} hit_permille {} resident_kb {} ready {} \
-             too_big {}",
-            tc.hits,
-            tc.misses,
-            tc.hit_permille(),
-            tc.resident_bytes / 1024,
-            tc.ready_slots,
-            tc.too_big_slots
-        ),
-        None => println!("[serve] trace_cache off"),
-    }
     for (i, s) in report.shards.iter().enumerate() {
         println!(
             "[serve] shard {i} requests {} batches {} reconfigs {} utilization_permille {}",
@@ -74,7 +54,6 @@ fn print_summary(mode: &str, report: &ServeReport) {
 fn main() {
     let mut smoke = false;
     let mut trace = false;
-    let mut trace_cache = true;
     let mut out = String::from("serve_report.json");
     let mut trace_out = String::from("serve_timeline.json");
     let mut args = std::env::args().skip(1);
@@ -82,7 +61,6 @@ fn main() {
         match arg.as_str() {
             "--smoke" => smoke = true,
             "--trace" => trace = true,
-            "--no-trace-cache" => trace_cache = false,
             "--out" => {
                 out = args.next().unwrap_or_else(|| {
                     eprintln!("error: --out needs a path");
@@ -98,21 +76,18 @@ fn main() {
             other => {
                 eprintln!(
                     "error: unknown argument {other:?} (usage: serve_bench [--smoke] [--out PATH] \
-                     [--trace] [--trace-out PATH] [--no-trace-cache])"
+                     [--trace] [--trace-out PATH])"
                 );
                 std::process::exit(2);
             }
         }
     }
 
-    let (gen, mut fleet, mode) = if smoke {
+    let (gen, fleet, mode) = if smoke {
         (GeneratorConfig::smoke(STREAM_SEED), FleetConfig::with_shards(2), "smoke")
     } else {
         (GeneratorConfig::heavy(STREAM_SEED), FleetConfig::paper_default(), "heavy")
     };
-    if !trace_cache {
-        fleet.trace_cache_bytes = 0;
-    }
 
     let wall_start = std::time::Instant::now();
     let report = serve(&fleet, &gen);

@@ -13,27 +13,49 @@
 //! * **CT training** is counting-dominated (the paper groups it with NB
 //!   for exactly this reason) and also maps to the NB counting kernel,
 //!   with a CT-flavoured feature/value shape.
-
+//!
+//! ## Service-cost table
+//!
+//! Each `(phase, tier)` slot is a fixed instruction stream, so it costs
+//! the same every time it runs: the memsim engine charges one cycle per
+//! SIMD op and nothing for misses, so a slot's service time is its op
+//! count however warm the cache is. The fleet therefore never replays a
+//! trace per request. [`ServingCatalog::service_costs`] runs each slot
+//! once through a fresh engine and returns one [`ServiceCost`] row per
+//! slot; the fleet builds that table once per run and adds up rows.
+//!
 //! ## Trace-template cache
 //!
-//! The catalog's workloads are *templates*: a `(phase, tier)` pair always
-//! generates the identical access trace, yet the fleet used to regenerate
-//! it from the kernel loop nest for every one of ~100k requests. The
 //! [`TraceCache`] records each template's flattened [`AccessBlock`] once,
-//! on first use, into a bounded per-shard arena; every later leg replays
-//! the packed block with a single [`SimdEngine::commit_block`] call. The
-//! replay is counter-identical to fresh generation — flush boundaries are
-//! invisible to the cache model, and a leg's completion timestamp is read
-//! from the cumulative cycle counter only after the leg — so every
-//! sha-pinned report stays byte-identical with the cache on or off.
+//! on first use, into a bounded arena; every later leg replays the packed
+//! block with a single [`SimdEngine::commit_block`] call, which is
+//! counter-identical to fresh generation. It is no longer on the fleet
+//! path (the service-cost table replaced it there); it stays as a
+//! standalone replay utility that the host-time benchmark probes.
 //!
 //! [`SimdEngine::commit_block`]: pudiannao_memsim::SimdEngine::commit_block
 
 use pudiannao_codegen::phases::Phase;
-use pudiannao_memsim::kernels::{ct, dnn, kmeans, knn, linreg, nb, svm, TraceSink};
-use pudiannao_memsim::{Access, AccessBlock, BatchSink, SimdEngine, Workload};
+use pudiannao_memsim::kernels::{self, ct, dnn, kmeans, knn, linreg, nb, svm, TraceSink};
+use pudiannao_memsim::{Access, AccessBlock, BatchSink, CacheConfig, SimdEngine, Workload};
 
 use crate::request::SizeTier;
+
+/// Default [`TraceCache`] arena: comfortably holds every catalog template
+/// on the paper-default cache geometry (~4 MB of packed entries across
+/// all 39 slots), with 4x headroom for bigger tiers.
+pub const TRACE_CACHE_BYTES: usize = 16 << 20;
+
+/// What one request of a catalog slot costs a shard.
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+pub struct ServiceCost {
+    /// Service time in simulated ns (engine cycles at 1 GHz).
+    pub service_ns: u64,
+    /// SIMD operations executed.
+    pub ops: u64,
+    /// Off-chip bytes the slot moves on a cold cache.
+    pub offchip_bytes: u64,
+}
 
 /// Position of a phase in [`Phase::ALL`], used to index the catalog.
 #[must_use]
@@ -77,6 +99,27 @@ impl ServingCatalog {
     pub fn get(&self, phase: Phase, tier: SizeTier) -> &dyn Workload {
         self.entries[slot_index(phase, tier)].as_ref()
     }
+
+    /// The service-cost table: one row per slot, indexed by
+    /// [`slot_index`], each from one cold run over `cache`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `cache` is invalid.
+    #[must_use]
+    pub fn service_costs(&self, cache: &CacheConfig) -> Vec<ServiceCost> {
+        self.entries
+            .iter()
+            .map(|w| {
+                let stats = kernels::run_fresh(w.as_ref(), cache);
+                ServiceCost {
+                    service_ns: stats.cycles,
+                    ops: stats.ops,
+                    offchip_bytes: stats.offchip_bytes,
+                }
+            })
+            .collect()
+    }
 }
 
 /// One `(phase, tier)` slot of a [`TraceCache`].
@@ -96,8 +139,8 @@ enum Slot {
 /// Ready/TooBig decision is identical on every shard and every run.
 const ENTRY_BYTES: usize = 13;
 
-/// Counters and footprint of one or more [`TraceCache`]s, summed for the
-/// report. Never serialised into the report JSON.
+/// Counters and footprint of a [`TraceCache`]. Never serialised into
+/// the report JSON.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct TraceCacheStats {
     /// Legs served by replaying a recorded block.
@@ -110,26 +153,6 @@ pub struct TraceCacheStats {
     pub ready_slots: u64,
     /// Slots whose template overflowed the budget.
     pub too_big_slots: u64,
-}
-
-impl TraceCacheStats {
-    /// Replay share of all legs, in permille (0 when no legs ran).
-    #[must_use]
-    pub fn hit_permille(&self) -> u64 {
-        (self.hits * 1000).checked_div(self.hits + self.misses).unwrap_or(0)
-    }
-
-    /// Element-wise sum, for aggregating per-shard caches.
-    #[must_use]
-    pub fn merged(self, other: TraceCacheStats) -> TraceCacheStats {
-        TraceCacheStats {
-            hits: self.hits + other.hits,
-            misses: self.misses + other.misses,
-            resident_bytes: self.resident_bytes + other.resident_bytes,
-            ready_slots: self.ready_slots + other.ready_slots,
-            too_big_slots: self.too_big_slots + other.too_big_slots,
-        }
-    }
 }
 
 /// A [`TraceSink`] that only packs — the recording arm of a first-use
@@ -146,14 +169,8 @@ impl TraceSink for PackSink<'_> {
     }
 }
 
-/// Per-shard trace-template cache: one slot per `(phase, tier)`, a byte
-/// budget bounding the recorded arena, and hit/miss counters.
-///
-/// Per-shard (not fleet-global) deliberately: shards execute their waves
-/// in parallel, and a shared cache would need synchronisation on the
-/// hottest path; 39 slots of small packed blocks are cheap enough to
-/// duplicate. Each shard's leg sequence is deterministic, so its
-/// counters — and their fleet-wide sum — are too.
+/// Trace-template cache: one slot per `(phase, tier)`, a byte budget
+/// bounding the recorded arena, and hit/miss counters.
 pub struct TraceCache {
     slots: Vec<Slot>,
     budget_bytes: usize,

@@ -1,22 +1,21 @@
 //! The fleet: a pool of simulated PuDianNao devices ("shards") draining
 //! the admission queue, driven as a discrete-event simulation.
 //!
-//! Each shard owns one reusable `SimdEngine` (the cache-simulating SIMD
-//! datapath from memsim) that is **reset, never rebuilt** between batches
-//! — the PR-5 profiling result (~87ns reset vs ~252ns rebuild) becomes the
-//! serving cost model: every batch pays the reset as setup, and switching
+//! A `(phase, tier)` request is a fixed instruction stream, so it costs
+//! the same every time: the fleet builds the catalog's service-cost table
+//! (one [`ServiceCost`] row per slot) once per run, and a shard serves a
+//! batch by adding up rows — no trace is replayed and no engine is reset
+//! per batch. Every batch pays a fixed setup charge, and switching
 //! technique families additionally pays a reconfiguration charge for
 //! re-arming the functional units (the paper's polyvalent datapath is
 //! time-shared across the seven techniques). Batching by technique exists
 //! precisely to amortise that reconfiguration.
 //!
 //! The event loop is single-threaded and deterministic: ingest arrivals,
-//! dispatch one batch to every idle shard, execute the dispatched wave —
-//! the only parallel part, via [`pool::run_indexed`], whose results come
-//! back in wave order regardless of worker count — then advance simulated
-//! time to the next arrival or shard-completion event. One engine cycle is
-//! one simulated nanosecond (1 GHz device clock, as in the paper's
-//! evaluation).
+//! dispatch one batch to every idle shard, execute the dispatched wave in
+//! wave order, then advance simulated time to the next arrival or
+//! shard-completion event. One engine cycle is one simulated nanosecond
+//! (1 GHz device clock, as in the paper's evaluation).
 //!
 //! ## Resilience
 //!
@@ -43,16 +42,15 @@
 //! partition the offered load (the conservation invariant the proptests
 //! pin down).
 
-use pudiannao_memsim::{batch, AccessBlock, BatchSink, CacheConfig, SimdEngine, Technique};
+use pudiannao_memsim::{CacheConfig, Technique};
 
 use std::cmp::Reverse;
 use std::collections::{BTreeMap, BinaryHeap};
 
 use crate::admission::{AdmissionConfig, AdmissionOutcome, AdmissionQueue};
-use crate::catalog::{ServingCatalog, TraceCache, TraceCacheStats};
+use crate::catalog::{slot_index, ServiceCost, ServingCatalog};
 use crate::chaos::{ChaosConfig, Defense, ShardChaos};
 use crate::metrics::{MetricsConfig, MetricsRecorder};
-use crate::pool;
 use crate::report::{
     shard_verdict, Completion, LatencyBreakdown, ObservabilityReport, ResilienceReport,
     ServeReport, ShardResilience, TierBreakdown,
@@ -60,20 +58,14 @@ use crate::report::{
 use crate::request::{Leg, Request, RequestKind};
 use crate::trace::{FleetTrace, LegOutcome, RootOutcome, SpanEvent, TraceConfig};
 
-/// Cost, in simulated ns, of resetting a shard's engine for a new batch
-/// (measured reuse-path cost from the PR-5 profiling pass).
+/// Fixed per-batch setup charge, in simulated ns (the measured cost of
+/// resetting a pooled memsim engine).
 pub const BATCH_SETUP_NS: u64 = 87;
 
 /// Additional cost, in simulated ns, of re-arming the datapath when a
 /// shard switches technique families between batches (measured
 /// full-rebuild cost from the same profiling pass).
 pub const RECONFIG_NS: u64 = 252;
-
-/// Default per-shard trace-template arena: comfortably holds every
-/// catalog template on the paper-default cache geometry (measured ~4 MB
-/// of packed entries across all 39 slots on the heavy stream), with 4x
-/// headroom for bigger tiers.
-pub const TRACE_CACHE_BYTES: usize = 16 << 20;
 
 /// Fleet-level configuration.
 #[derive(Clone, Copy, Debug)]
@@ -84,23 +76,13 @@ pub struct FleetConfig {
     pub max_batch: usize,
     /// Admission-queue bounds.
     pub admission: AdmissionConfig,
-    /// Per-shard trace-template arena budget in bytes; 0 disables the
-    /// cache (every leg regenerates its trace). Replay is
-    /// counter-identical to fresh generation, so this knob only moves
-    /// wall-clock and memory — never a report byte.
-    pub trace_cache_bytes: usize,
 }
 
 impl FleetConfig {
     /// The 4-shard fleet `serve_bench` runs by default.
     #[must_use]
     pub fn paper_default() -> Self {
-        FleetConfig {
-            shards: 4,
-            max_batch: 16,
-            admission: AdmissionConfig::paper_default(),
-            trace_cache_bytes: TRACE_CACHE_BYTES,
-        }
+        FleetConfig { shards: 4, max_batch: 16, admission: AdmissionConfig::paper_default() }
     }
 
     /// Same knobs with a different shard count (for the scaling sweep).
@@ -193,15 +175,11 @@ struct BatchFacts {
     crash: Option<(u64, u64)>,
 }
 
-/// One simulated device: a reusable engine (plus its batching scratch
-/// buffer), utilisation counters, and — under chaos — its drawn fate and
-/// health-tracking state.
+/// One simulated device: its datapath configuration, utilisation
+/// counters, and — under chaos — its drawn fate and health-tracking
+/// state.
+#[derive(Default)]
 struct Shard {
-    engine: SimdEngine,
-    /// SoA scratch for the batched trace path, reused across requests.
-    block: AccessBlock,
-    /// Recorded trace templates; `None` when `trace_cache_bytes` is 0.
-    trace_cache: Option<TraceCache>,
     last_technique: Option<Technique>,
     free_at_ns: u64,
     batches: u64,
@@ -221,31 +199,9 @@ struct Shard {
 }
 
 impl Shard {
-    fn new(cache: &CacheConfig, chaos: Option<ShardChaos>, trace_cache_bytes: usize) -> Shard {
-        Shard {
-            engine: SimdEngine::new(cache.clone()).expect("paper cache config is valid"),
-            block: AccessBlock::with_capacity(cache.line_bytes, batch::FLUSH_ACCESSES + 32),
-            trace_cache: (trace_cache_bytes > 0).then(|| TraceCache::new(trace_cache_bytes)),
-            last_technique: None,
-            free_at_ns: 0,
-            batches: 0,
-            requests: 0,
-            reconfigs: 0,
-            busy_ns: 0,
-            ops: 0,
-            offchip_bytes: 0,
-            chaos,
-            fail_streak: 0,
-            quarantined_until_ns: 0,
-            quarantines: 0,
-            quarantine_down_ns: 0,
-        }
-    }
-
     /// Executes one technique-homogeneous batch starting at `start_ns`;
-    /// returns the fate of every leg. The engine is reset once per batch,
-    /// so requests in a batch share cache state — the locality win
-    /// batching buys on top of amortised reconfiguration.
+    /// returns the fate of every leg. Legs run back to back, each taking
+    /// its slot's row of `costs` (the service-cost table).
     ///
     /// Chaos hooks: service time is scaled by the shard's slowdown draw,
     /// each leg may draw a transient failure (a pure hash of its
@@ -255,7 +211,7 @@ impl Shard {
         &mut self,
         technique: Technique,
         legs: &[Leg],
-        catalog: &ServingCatalog,
+        costs: &[ServiceCost],
         start_ns: u64,
     ) -> (BatchFacts, Vec<LegResult>) {
         let mut t = start_ns;
@@ -270,49 +226,29 @@ impl Shard {
         }
         t = t.saturating_add(BATCH_SETUP_NS);
         let exec_start_ns = t;
-        self.engine.reset();
         let slowdown = self.chaos.as_ref().map_or(1000, |c| c.slowdown_permille);
         let mut out = Vec::with_capacity(legs.len());
-        let mut prev_cycles = 0u64;
+        let mut batch = ServiceCost::default();
         for leg in legs {
             let RequestKind::Phase(phase) = leg.request.kind else {
                 unreachable!("admission rejects unknown techniques before dispatch");
             };
-            // Batched execution: the request's ops pack into the SoA
-            // scratch block and stream through the cache in block
-            // passes — counter-identical to tracing straight into the
-            // engine, which is why the completion timestamps (read off
-            // the cumulative cycle counter after the flush) don't move.
-            // With the template cache, a previously seen (phase, tier)
-            // replays its recorded block instead of regenerating it;
-            // same equivalence, minus the whole generation pass.
-            match &mut self.trace_cache {
-                Some(cache) => cache.execute(
-                    catalog,
-                    phase,
-                    leg.request.tier,
-                    &mut self.engine,
-                    &mut self.block,
-                ),
-                None => {
-                    let mut sink = BatchSink::new(&mut self.engine, &mut self.block);
-                    catalog.get(phase, leg.request.tier).trace(&mut sink);
-                    sink.finish();
-                }
-            }
-            let cycles = self.engine.report().cycles;
-            let done_ns = t.saturating_add(scale_ns(cycles, slowdown));
+            let cost = costs[slot_index(phase, leg.request.tier)];
+            // Scale the running total, not each leg, so rounding under a
+            // slowdown never drifts across a batch.
+            let prev_ns = batch.service_ns;
+            batch.service_ns += cost.service_ns;
+            batch.ops += cost.ops;
+            batch.offchip_bytes += cost.offchip_bytes;
             out.push(LegResult {
                 leg: *leg,
                 phase,
-                fate: LegFate::Done(done_ns),
-                start_ns: t.saturating_add(scale_ns(prev_cycles, slowdown)),
-                service_ns: scale_ns(cycles.saturating_sub(prev_cycles), slowdown),
+                fate: LegFate::Done(t.saturating_add(scale_ns(batch.service_ns, slowdown))),
+                start_ns: t.saturating_add(scale_ns(prev_ns, slowdown)),
+                service_ns: scale_ns(cost.service_ns, slowdown),
             });
-            prev_cycles = cycles;
         }
-        let stats = self.engine.report();
-        let mut end_ns = t.saturating_add(scale_ns(stats.cycles, slowdown));
+        let mut end_ns = t.saturating_add(scale_ns(batch.service_ns, slowdown));
         let mut busy_until = end_ns;
         let mut crash = None;
         if let Some(chaos) = &mut self.chaos {
@@ -360,8 +296,8 @@ impl Shard {
         self.batches += 1;
         self.requests += legs.len() as u64;
         self.busy_ns = self.busy_ns.saturating_add(busy_until.saturating_sub(start_ns));
-        self.ops += stats.ops;
-        self.offchip_bytes += stats.offchip_bytes;
+        self.ops += batch.ops;
+        self.offchip_bytes += batch.offchip_bytes;
         self.free_at_ns = end_ns;
         let facts = BatchFacts {
             technique,
@@ -1019,10 +955,11 @@ pub fn run_fleet_observed(
     let resilient =
         !(chaos.is_off() && *defense == Defense::off() && !admission_config.priority_aware);
 
+    let costs = catalog.service_costs(cache);
     let mut shards: Vec<Shard> = (0..config.shards)
-        .map(|i| {
-            let fate = if chaos.is_off() { None } else { Some(ShardChaos::new(chaos, i)) };
-            Shard::new(cache, fate, config.trace_cache_bytes)
+        .map(|i| Shard {
+            chaos: (!chaos.is_off()).then(|| ShardChaos::new(chaos, i)),
+            ..Shard::default()
         })
         .collect();
     let mut admission = AdmissionQueue::new(admission_config);
@@ -1065,7 +1002,7 @@ pub fn run_fleet_observed(
         // 2. Hand one batch to every idle, healthy shard (deterministic:
         //    shards in index order, batches in oldest-head-of-line
         //    order). Overdue and cancelled legs are filtered here.
-        let mut wave: Vec<(usize, &mut Shard, Technique, Vec<Leg>)> = Vec::new();
+        let mut wave: Vec<(usize, Technique, Vec<Leg>)> = Vec::new();
         let mut queue_open = true;
         for (idx, shard) in shards.iter_mut().enumerate() {
             if !queue_open || shard.free_at_ns > now {
@@ -1093,25 +1030,15 @@ pub fn run_fleet_observed(
                 }
             };
             match picked {
-                Some((technique, batch)) => wave.push((idx, shard, technique, batch)),
+                Some((technique, batch)) => wave.push((idx, technique, batch)),
                 None => queue_open = false,
             }
         }
 
-        // 3. Execute the wave (possibly empty). Each job owns a disjoint
-        //    `&mut Shard`, and run_indexed returns results in wave order,
-        //    so the outcome is identical whether REPRO_THREADS is 1 or 64.
-        let start = now;
-        let jobs: Vec<_> = wave
-            .into_iter()
-            .map(|(idx, shard, technique, batch)| {
-                move || {
-                    let (facts, results) = shard.run_batch(technique, &batch, catalog, start);
-                    (idx, facts, results)
-                }
-            })
-            .collect();
-        for (idx, facts, batch_results) in pool::run_indexed(jobs) {
+        // 3. Execute the wave (possibly empty) in wave order. Every leg
+        //    of it was picked above, before any result is processed.
+        for (idx, technique, batch) in wave {
+            let (facts, batch_results) = shards[idx].run_batch(technique, &batch, &costs, now);
             if let Some(o) = &mut obs {
                 o.on_batch(idx, &facts, &batch_results);
             }
@@ -1133,7 +1060,7 @@ pub fn run_fleet_observed(
                         baseline_completions.push(Completion {
                             request: r.leg.request,
                             phase: r.phase,
-                            dispatched_ns: start,
+                            dispatched_ns: now,
                             completed_ns,
                         });
                     }
@@ -1262,14 +1189,6 @@ pub fn run_fleet_observed(
     if let Some(o) = obs {
         o.finish(&mut report);
     }
-    // In-memory only, like the trace handle: the summed per-shard
-    // template-cache counters never reach the report JSON, so pinned
-    // reports stay byte-identical whatever the cache budget.
-    report.trace_cache = shards
-        .iter()
-        .filter_map(|s| s.trace_cache.as_ref())
-        .map(TraceCache::stats)
-        .reduce(TraceCacheStats::merged);
     report
 }
 

@@ -12,11 +12,13 @@
 //!   per-technique backpressure, unknown-technique rejection.
 //! * [`catalog`] — 13 phases × 3 size tiers of memsim workloads boxed
 //!   behind `pudiannao_memsim::Workload`, the redesigned trait every
-//!   kernel now dispatches through.
-//! * [`fleet`] — discrete-event simulation of the shard pool: one
-//!   reusable `SimdEngine` per shard, batches picked by technique to
-//!   amortise datapath reconfiguration, waves executed on the
-//!   deterministic [`pool`].
+//!   kernel now dispatches through, and the per-slot service-cost table
+//!   the fleet serves from.
+//! * [`fleet`] — discrete-event simulation of the shard pool: batches
+//!   picked by technique to amortise datapath reconfiguration, each
+//!   costed by adding up service-cost rows.
+//! * [`pool`] — deterministic fork-join harness the reproduction
+//!   experiments run on.
 //! * [`report`] / [`sweep`] — latency percentiles, throughput, shed
 //!   rate, per-device utilisation; 1/2/4/8-shard scaling sweep for the
 //!   perf-regression gate.
@@ -49,11 +51,14 @@ pub mod sweep;
 pub mod trace;
 
 pub use admission::{AdmissionConfig, AdmissionCounters, AdmissionOutcome, AdmissionQueue};
-pub use catalog::{slot_count, slot_index, ServingCatalog, TraceCache, TraceCacheStats};
+pub use catalog::{
+    slot_count, slot_index, ServiceCost, ServingCatalog, TraceCache, TraceCacheStats,
+    TRACE_CACHE_BYTES,
+};
 pub use chaos::{ChaosConfig, Defense, ShardChaos};
 pub use fleet::{
     run_fleet, run_fleet_observed, run_fleet_resilient, serve, serve_observed, serve_resilient,
-    FleetConfig, ObserveConfig, BATCH_SETUP_NS, RECONFIG_NS, TRACE_CACHE_BYTES,
+    FleetConfig, ObserveConfig, BATCH_SETUP_NS, RECONFIG_NS,
 };
 pub use gen::{generate, GeneratorConfig, SplitMix64};
 pub use metrics::{LogHistogram, MetricsConfig, MetricsReport, WindowSummary};

@@ -1,12 +1,10 @@
-//! A deterministic fork-join harness shared by the serving fleet and the
-//! reproduction experiments.
+//! A deterministic fork-join harness for the reproduction experiments.
 //!
 //! [`run_indexed`] executes a list of independent jobs on scoped worker
 //! threads ([`std::thread::scope`], no external dependencies) and returns
 //! their results **in job order**, so callers that serialise the results
-//! (e.g. the fleet simulator writing `serve_report.json`, or `repro_all`
-//! writing `repro_summary.json`) produce byte-identical output whether the
-//! jobs ran sequentially or on any number of workers.
+//! (e.g. `repro_all` writing `repro_summary.json`) produce byte-identical
+//! output whether the jobs ran sequentially or on any number of workers.
 //!
 //! The worker count defaults to the machine's available parallelism and
 //! can be capped (or forced to 1) with the `REPRO_THREADS` environment
@@ -17,7 +15,7 @@
 //! interleave their lines when more than one worker runs.
 
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::{Mutex, Once};
+use std::sync::{Mutex, Once, OnceLock};
 
 /// Parses a `REPRO_THREADS`-style value: a positive worker count, or
 /// `None` when unset or invalid. An invalid value is reported loudly on
@@ -44,11 +42,18 @@ fn parse_threads(raw: Option<&str>) -> Option<usize> {
 /// `REPRO_THREADS` override if set (and a positive integer), otherwise
 /// the machine's available parallelism, never more than the job count and
 /// never less than 1.
+///
+/// The hardware count is read once per process (`available_parallelism`
+/// re-reads cgroup files on every call); `REPRO_THREADS` is read on every
+/// call.
 #[must_use]
 pub fn worker_count(jobs: usize) -> usize {
-    let hardware = std::thread::available_parallelism().map(std::num::NonZeroUsize::get);
+    static HARDWARE: OnceLock<usize> = OnceLock::new();
+    let hardware = *HARDWARE.get_or_init(|| {
+        std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get)
+    });
     let env = std::env::var("REPRO_THREADS").ok();
-    parse_threads(env.as_deref()).unwrap_or_else(|| hardware.unwrap_or(1)).min(jobs.max(1))
+    parse_threads(env.as_deref()).unwrap_or(hardware).min(jobs.max(1))
 }
 
 /// Runs every job and returns the results in the jobs' original order.
@@ -144,6 +149,24 @@ mod tests {
             Box::new(|| "c".to_string()),
         ];
         assert_eq!(run_indexed(jobs), vec!["a", "b", "c"]);
+    }
+
+    #[test]
+    fn repro_threads_caps_workers_on_every_call() {
+        // The hardware count is cached; the override must not be. This
+        // is the only test in the crate that sets the variable, and every
+        // other test passes whatever worker count it reads.
+        let saved = std::env::var("REPRO_THREADS").ok();
+        std::env::set_var("REPRO_THREADS", "3");
+        assert_eq!(worker_count(10), 3, "REPRO_THREADS caps the workers");
+        assert_eq!(worker_count(2), 2, "never more workers than jobs");
+        assert_eq!(worker_count(0), 1, "never fewer than one");
+        std::env::set_var("REPRO_THREADS", "1");
+        assert_eq!(worker_count(10), 1, "a changed override is read again");
+        match saved {
+            Some(v) => std::env::set_var("REPRO_THREADS", v),
+            None => std::env::remove_var("REPRO_THREADS"),
+        }
     }
 
     #[test]

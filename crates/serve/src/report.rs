@@ -413,9 +413,9 @@ pub struct ServeReport {
     /// [`fleet_timeline`](crate::trace::fleet_timeline). Never
     /// serialised into the report JSON.
     pub trace: Option<crate::trace::FleetTrace>,
-    /// Summed per-shard trace-template-cache counters, `None` when the
-    /// cache is disabled. Never serialised into the report JSON — the
-    /// cache only moves wall-clock and memory, never a report byte.
+    /// Always `None`: the fleet serves from the service-cost table and
+    /// runs no [`TraceCache`](crate::catalog::TraceCache). Never
+    /// serialised into the report JSON.
     pub trace_cache: Option<crate::catalog::TraceCacheStats>,
 }
 

@@ -16,7 +16,6 @@ fn fleet(
         shards,
         max_batch,
         admission: AdmissionConfig { per_technique_cap, global_cap, priority_aware: false },
-        trace_cache_bytes: pudiannao_serve::TRACE_CACHE_BYTES,
     }
 }
 

@@ -2,15 +2,11 @@
 //! recorded [`AccessBlock`] must leave the engine bit-identical — report,
 //! cache stats, line states — to generating the trace fresh through a
 //! [`BatchSink`], for every `(phase, tier)` in the catalog and for every
-//! slot state (recording, replay, over-budget). At the fleet level the
-//! cache must be invisible: the serialised report is byte-identical with
-//! the cache on or off.
+//! slot state (recording, replay, over-budget).
 
 use pudiannao_codegen::phases::Phase;
 use pudiannao_memsim::{batch, AccessBlock, BatchSink, CacheConfig, SimdEngine};
-use pudiannao_serve::{
-    serve, FleetConfig, GeneratorConfig, ServingCatalog, SizeTier, TraceCache, TRACE_CACHE_BYTES,
-};
+use pudiannao_serve::{ServingCatalog, SizeTier, TraceCache, TRACE_CACHE_BYTES};
 
 fn engine() -> SimdEngine {
     SimdEngine::new(CacheConfig::paper_default()).expect("paper config is valid")
@@ -89,31 +85,4 @@ fn over_budget_slots_still_match_fresh_generation() {
     let stats = cache.stats();
     assert_eq!((stats.hits, stats.misses), (0, 3));
     assert_eq!((stats.ready_slots, stats.too_big_slots, stats.resident_bytes), (0, 1, 0));
-}
-
-/// Fleet level: the cache only moves wall-clock and memory. The
-/// serialised report of a run with the cache on is byte-identical to the
-/// same run with it off, and the in-memory counters attach only to the
-/// cached run — they never leak into the JSON.
-#[test]
-fn fleet_report_is_byte_identical_cache_on_or_off() {
-    let gen = GeneratorConfig { requests: 800, ..GeneratorConfig::smoke(77) };
-    let on_cfg = FleetConfig::with_shards(2);
-    let off_cfg = FleetConfig { trace_cache_bytes: 0, ..FleetConfig::with_shards(2) };
-    assert_eq!(on_cfg.trace_cache_bytes, TRACE_CACHE_BYTES, "cache defaults on");
-
-    let on = serve(&on_cfg, &gen);
-    let off = serve(&off_cfg, &gen);
-    assert_eq!(
-        on.to_json().to_string_pretty(),
-        off.to_json().to_string_pretty(),
-        "report JSON differs with trace cache on vs off"
-    );
-
-    let stats = on.trace_cache.expect("cached run reports cache counters");
-    assert!(stats.hits > 0, "smoke stream repeats phases, so replays must happen");
-    assert!(stats.ready_slots > 0);
-    assert!(off.trace_cache.is_none(), "disabled cache reports no counters");
-    // The counters live outside the serialised schema entirely.
-    assert!(!on.to_json().to_string_pretty().contains("trace_cache"));
 }

@@ -10,6 +10,7 @@
 #   scripts/check.sh --serve     # serving-fleet smoke + pinned admission counts
 #   scripts/check.sh --chaos     # chaos smoke: fault x defence sweep + pinned outcomes
 #   scripts/check.sh --serve-trace # fleet timeline smoke + pinned span/track counts
+#   scripts/check.sh --artifacts # regenerate the committed JSON reports and cmp them
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -133,15 +134,13 @@ if [[ "${1:-}" == "--serve" ]]; then
     tmp="$(mktemp -d)"
     trap 'rm -rf "$tmp"' EXIT
     ./target/release/serve_bench --smoke --out "$tmp/serve_report.json" \
-        | grep -E '^\[serve\] (mode|shards|offered|admitted|shed|rejected|completed|shed_permille|trace_cache) ' \
+        | grep -E '^\[serve\] (mode|shards|offered|admitted|shed|rejected|completed|shed_permille) ' \
         > "$tmp/got.txt"
     cat "$tmp/got.txt"
 
-    # Pinned admission/completion counts and trace-template-cache
-    # counters for the built-in smoke stream. Any change here means the
-    # generator, the admission policy, the scheduler's batching, or the
-    # cache's slot/budget decisions shifted — update deliberately, never
-    # silently.
+    # Pinned admission/completion counts for the built-in smoke stream.
+    # Any change here means the generator, the admission policy or the
+    # scheduler's batching shifted — update deliberately, never silently.
     cat > "$tmp/want.txt" <<'EOF'
 [serve] mode smoke
 [serve] shards 2
@@ -151,10 +150,9 @@ if [[ "${1:-}" == "--serve" ]]; then
 [serve] rejected 14
 [serve] completed 2406
 [serve] shed_permille 395
-[serve] trace_cache hits 2328 misses 78 hit_permille 967 resident_kb 8013 ready 78 too_big 0
 EOF
     cmp "$tmp/want.txt" "$tmp/got.txt"
-    echo "    admission, completion and trace-cache counts match the pinned expectation"
+    echo "    admission and completion counts match the pinned expectation"
 
     echo "==> determinism: REPRO_THREADS=1 vs 4"
     REPRO_THREADS=1 ./target/release/serve_bench --smoke \
@@ -266,6 +264,30 @@ EOF
     echo "    serve_timeline.json byte-identical"
 
     echo "OK: serve-trace smoke passed"
+    exit 0
+fi
+
+if [[ "${1:-}" == "--artifacts" ]]; then
+    echo "==> cargo build --release -p pudiannao-bench -p pudiannao-serve"
+    cargo build --release -q -p pudiannao-bench -p pudiannao-serve
+
+    echo "==> regenerate the committed reports"
+    tmp="$(mktemp -d)"
+    trap 'rm -rf "$tmp"' EXIT
+    (
+        cd "$tmp"
+        "$OLDPWD/target/release/repro_all" >/dev/null
+        "$OLDPWD/target/release/fault_campaign" >/dev/null
+        "$OLDPWD/target/release/serve_bench" >/dev/null 2>&1
+        "$OLDPWD/target/release/chaos_bench" >/dev/null
+    )
+    for f in repro_summary.json phase_reports.json fault_campaign.json \
+        serve_report.json chaos_report.json; do
+        cmp "$f" "$tmp/$f"
+        echo "    $f byte-identical"
+    done
+
+    echo "OK: committed artifacts match regeneration"
     exit 0
 fi
 
