@@ -12,7 +12,11 @@ fn bench_cache_throughput(c: &mut Criterion) {
             || Cache::new(CacheConfig::paper_default()).expect("valid"),
             |mut cache| {
                 for i in 0..1_000_000u64 {
-                    cache.access(Access::read(Addr((i * 32) % (1 << 22)), 32, VarClass::Hot));
+                    cache.access_scalar(Access::read(
+                        Addr((i * 32) % (1 << 22)),
+                        32,
+                        VarClass::Hot,
+                    ));
                 }
                 cache.stats().offchip_bytes()
             },

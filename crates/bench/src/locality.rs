@@ -10,17 +10,16 @@
 
 use crate::{banner, parallel, series_row, Check, ExperimentReport};
 use pudiannao_memsim::{
-    batch, kernels, AccessBlock, BandwidthReport, CacheConfig, ReuseProfiler, SimdEngine, Workload,
+    kernels, BandwidthReport, CacheConfig, ReuseProfiler, SimdEngine, Workload,
 };
 use std::sync::Mutex;
 
-/// A pool of reusable [`SimdEngine`]s (each with its batching scratch
-/// block): jobs check one out, run, and return it, so sequential jobs
-/// share one cache allocation while concurrent jobs each build their own
-/// on first use.
+/// A pool of reusable [`SimdEngine`]s: jobs check one out, run, and
+/// return it, so sequential jobs share one cache allocation (and scratch
+/// block) while concurrent jobs each build their own on first use.
 struct EnginePool {
     cfg: CacheConfig,
-    free: Mutex<Vec<(SimdEngine, AccessBlock)>>,
+    free: Mutex<Vec<SimdEngine>>,
 }
 
 impl EnginePool {
@@ -28,25 +27,19 @@ impl EnginePool {
         EnginePool { cfg, free: Mutex::new(Vec::new()) }
     }
 
-    fn with_engine<T>(&self, f: impl FnOnce(&mut SimdEngine, &mut AccessBlock) -> T) -> T {
+    fn with_engine<T>(&self, f: impl FnOnce(&mut SimdEngine) -> T) -> T {
         let pooled = self.free.lock().expect("engine pool lock").pop();
-        let (mut engine, mut block) = pooled.unwrap_or_else(|| {
-            (
-                SimdEngine::new(self.cfg.clone()).expect("valid cache config"),
-                AccessBlock::with_capacity(self.cfg.line_bytes, batch::FLUSH_ACCESSES + 32),
-            )
-        });
-        let out = f(&mut engine, &mut block);
-        self.free.lock().expect("engine pool lock").push((engine, block));
+        let mut engine = pooled
+            .unwrap_or_else(|| SimdEngine::new(self.cfg.clone()).expect("valid cache config"));
+        let out = f(&mut engine);
+        self.free.lock().expect("engine pool lock").push(engine);
         out
     }
 }
 
 /// Runs a figure's untiled and tiled points as parallel jobs over pooled
-/// engines, dispatching both through the unified [`Workload`] trait via
-/// the batched trace path ([`batch::run_buffered`] — identical counters
-/// to `Workload::run`, one block pass instead of a call per op); returns
-/// `(untiled, tiled)`.
+/// engines, dispatching both through [`Workload::run`] (the batched
+/// trace path); returns `(untiled, tiled)`.
 fn untiled_tiled_pair(
     cfg: &CacheConfig,
     untiled: &dyn Workload,
@@ -54,8 +47,8 @@ fn untiled_tiled_pair(
 ) -> (BandwidthReport, BandwidthReport) {
     let pool = EnginePool::new(cfg.clone());
     let jobs: Vec<Box<dyn FnOnce() -> BandwidthReport + Send + '_>> = vec![
-        Box::new(|| pool.with_engine(|e, buf| batch::run_buffered(untiled, e, buf).report())),
-        Box::new(|| pool.with_engine(|e, buf| batch::run_buffered(tiled, e, buf).report())),
+        Box::new(|| pool.with_engine(|e| untiled.run(e).report())),
+        Box::new(|| pool.with_engine(|e| tiled.run(e).report())),
     ];
     let mut reports = parallel::run_indexed(jobs);
     let t = reports.pop().expect("two jobs");

@@ -102,6 +102,26 @@ impl Access {
     pub const fn write(addr: Addr, bytes: u32, class: VarClass) -> Access {
         Access { addr, bytes, kind: AccessKind::Write, class }
     }
+
+    /// Line address of the first and of the last byte touched, for lines
+    /// of `1 << line_shift` bytes. On the wrapping address ring (see
+    /// [`Addr::offset`]) an access running past `u64::MAX` ends on a
+    /// line *below* its first one.
+    #[inline]
+    pub(crate) fn line_bounds(self, line_shift: u32) -> (u64, u64) {
+        let last_byte = self.addr.0.wrapping_add(u64::from(self.bytes.max(1)) - 1);
+        (self.addr.0 >> line_shift, last_byte >> line_shift)
+    }
+
+    /// Every line the access touches, in ring order: the lines up to the
+    /// top of the address space, then (for a wrapping access) the lines
+    /// from 0.
+    pub(crate) fn lines(self, line_shift: u32) -> impl Iterator<Item = u64> {
+        let (first, last) = self.line_bounds(line_shift);
+        let wraps = last < first;
+        let top = if wraps { u64::MAX >> line_shift } else { last };
+        (first..=top).chain(wraps.then_some(0..=last).into_iter().flatten())
+    }
 }
 
 #[cfg(test)]

@@ -22,11 +22,11 @@
 //!   write-around policy (see [`Cache::access_soa`]).
 //!
 //! Equivalence contract: iterating a block's entries in order yields the
-//! exact per-line access sequence [`Cache::access`] would perform on the
-//! original stream — same tick order, same counters, same stamps — which
-//! is what keeps every sha-pinned report byte-identical.
+//! exact per-line access sequence [`Cache::access_scalar`] would perform
+//! on the original stream — same tick order, same counters, same stamps —
+//! which is what keeps every sha-pinned report byte-identical.
 //!
-//! [`Cache::access`]: crate::Cache::access
+//! [`Cache::access_scalar`]: crate::Cache::access_scalar
 //! [`Cache::access_soa`]: crate::Cache::access_soa
 
 use crate::access::{Access, AccessKind, VarClass};
@@ -66,9 +66,8 @@ pub(crate) fn meta_class(meta: u8) -> VarClass {
 /// A flattened trace block in structure-of-arrays layout, pre-split into
 /// per-line touches for one specific line size.
 ///
-/// Built by the batching sinks ([`BatchSink`]) via [`AccessBlock::push_op`]
-/// and consumed whole by [`SimdEngine::commit_block`] /
-/// [`Cache::access_soa`].
+/// Built by a [`BatchSink`] via [`AccessBlock::push_op`] and consumed
+/// whole by [`SimdEngine::commit_block`] / [`Cache::access_soa`].
 ///
 /// [`BatchSink`]: crate::BatchSink
 /// [`SimdEngine::commit_block`]: crate::SimdEngine::commit_block
@@ -146,7 +145,8 @@ impl AccessBlock {
     }
 
     /// Drops all entries and the op count, keeping the line size and the
-    /// allocations (the recycling path in `batch` depends on this).
+    /// allocations (a [`BatchSink`](crate::BatchSink) reuses one scratch
+    /// block across flushes).
     pub fn clear(&mut self) {
         self.ops = 0;
         self.addrs.clear();
@@ -167,50 +167,38 @@ impl AccessBlock {
     }
 
     /// Flattens one SIMD operation's operand accesses into the block,
-    /// splitting each across lines exactly like [`Cache::access`] does.
+    /// splitting each across lines exactly like [`Cache::access_scalar`]
+    /// does, including the wrap past the top of the address ring.
     ///
     /// Same-line operands are the overwhelmingly common case (a 32-byte
-    /// SIMD operand in a 64-byte line), so the hot path is a branchless
-    /// crossing check over the whole op followed by three exact-size
-    /// iterator extends — one reserve per column, no per-element
-    /// capacity branches. Crossing ops take the scalar expansion loop.
+    /// SIMD operand in a 64-byte line), so each one is pushed straight
+    /// into the three columns; an operand spanning several lines takes
+    /// the out-of-line expansion.
     ///
-    /// [`Cache::access`]: crate::Cache::access
+    /// [`Cache::access_scalar`]: crate::Cache::access_scalar
     #[inline]
     pub fn push_op(&mut self, operands: &[Access]) {
         self.ops += 1;
-        let shift = self.line_shift;
-        // The crossing check rides inside the address-column extend, so
-        // the optimistic pack is one pass over the operands per column.
-        let mut crossing = false;
-        let base = self.addrs.len();
-        self.addrs.extend(operands.iter().map(|a| {
-            let start = a.addr.0 >> shift;
-            crossing |= (a.addr.0 + u64::from(a.bytes.max(1)) - 1) >> shift != start;
-            start
-        }));
-        if crossing {
-            self.addrs.truncate(base);
-            self.push_op_crossing(operands);
-        } else {
-            self.bytes.extend(operands.iter().map(|a| a.bytes));
-            self.meta.extend(operands.iter().map(|a| meta_of(a.kind, a.class)));
+        for a in operands {
+            let m = meta_of(a.kind, a.class);
+            let (first, last) = a.line_bounds(self.line_shift);
+            if first == last {
+                self.addrs.push(first);
+                self.bytes.push(a.bytes);
+                self.meta.push(m);
+            } else {
+                self.push_lines(*a, m);
+            }
         }
     }
 
-    /// The expansion loop for ops with at least one line-crossing
-    /// operand: one entry per touched line, in address order.
+    /// One entry per line an operand touches, in ring order.
     #[cold]
-    fn push_op_crossing(&mut self, operands: &[Access]) {
-        for a in operands {
-            let m = meta_of(a.kind, a.class);
-            let start_line = a.addr.0 >> self.line_shift;
-            let end_line = (a.addr.0 + u64::from(a.bytes.max(1)) - 1) >> self.line_shift;
-            for line_addr in start_line..=end_line {
-                self.addrs.push(line_addr);
-                self.bytes.push(a.bytes);
-                self.meta.push(m);
-            }
+    fn push_lines(&mut self, a: Access, m: u8) {
+        for line_addr in a.lines(self.line_shift) {
+            self.addrs.push(line_addr);
+            self.bytes.push(a.bytes);
+            self.meta.push(m);
         }
     }
 

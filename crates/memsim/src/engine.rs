@@ -1,8 +1,10 @@
 //! The 256-bit SIMD engine front end of the Section-2 methodology.
 
 use crate::access::Access;
+use crate::batch;
 use crate::block::AccessBlock;
 use crate::cache::{Cache, CacheConfig, CacheConfigError, CacheStats};
+use crate::kernels::{KernelStats, TraceSink};
 use core::fmt;
 
 /// Width of one SIMD operand: 256 bits.
@@ -12,10 +14,17 @@ pub const SIMD_WIDTH_BYTES: u32 = 32;
 /// calculate any function with three 256-bit inputs (e.g., f(a, b, c)) at
 /// one cycle", clocked at 1 GHz, backed by a 32 KB banked cache.
 ///
-/// Kernels submit one [`SimdEngine::op`] per executed SIMD operation,
-/// listing the operand accesses; the engine charges one cycle, routes every
-/// operand through the cache, and accumulates the off-chip traffic that the
-/// paper reports as a bandwidth *requirement*.
+/// Every SIMD operation costs one cycle and routes each of its operand
+/// accesses through the cache; the engine accumulates the off-chip
+/// traffic that the paper reports as a bandwidth *requirement*. Whole
+/// kernel traces arrive batched — [`Workload::run`] packs them into a
+/// scratch [`AccessBlock`] the engine owns and commits it with
+/// [`SimdEngine::commit_block`] — and [`SimdEngine::op`] executes a
+/// single operation through the scalar reference path. Every public call
+/// returns with its operations committed, so the counters are always
+/// current.
+///
+/// [`Workload::run`]: crate::Workload::run
 ///
 /// # Examples
 ///
@@ -36,6 +45,8 @@ pub struct SimdEngine {
     cache: Cache,
     cycles: u64,
     ops: u64,
+    /// Scratch block for [`SimdEngine::run_with_scratch`]; empty between calls.
+    scratch: AccessBlock,
 }
 
 impl SimdEngine {
@@ -45,21 +56,29 @@ impl SimdEngine {
     ///
     /// Propagates invalid cache configurations.
     pub fn new(config: CacheConfig) -> Result<SimdEngine, CacheConfigError> {
-        Ok(SimdEngine { cache: Cache::new(config)?, cycles: 0, ops: 0 })
+        Ok(SimdEngine {
+            cache: Cache::new(config)?,
+            cycles: 0,
+            ops: 0,
+            scratch: AccessBlock::default(),
+        })
     }
 
     /// Executes one SIMD operation touching the given operands
     /// (conventionally up to three inputs and at most one output, matching
     /// the paper's `f(a, b, c)` engine; more are accepted and simply
-    /// charged extra cache lookups).
+    /// charged extra cache lookups), each operand through
+    /// [`Cache::access_scalar`].
     pub fn op(&mut self, operands: &[Access]) {
         self.cycles += 1;
         self.ops += 1;
-        self.cache.access_run(operands);
+        for &a in operands {
+            self.cache.access_scalar(a);
+        }
     }
 
-    /// Executes a packed [`AccessBlock`] — the SoA batched entry point
-    /// for [`crate::batch`] and the serving fleet. Counter-for-counter
+    /// Executes a packed [`AccessBlock`] — the batched entry point for
+    /// [`crate::batch`] and the serving layer. Counter-for-counter
     /// equivalent to calling [`SimdEngine::op`] once per flattened
     /// operation: the block carries its own op count (the cycle charge)
     /// and its entries are the exact per-line sequence the scalar path
@@ -75,14 +94,17 @@ impl SimdEngine {
         self.cache.access_soa(block);
     }
 
-    /// The array-of-structs ancestor of [`SimdEngine::commit_block`]:
-    /// executes `ops` SIMD operations whose operand accesses were
-    /// concatenated into `accesses`, via [`Cache::access_block`]. Kept as
-    /// the differential reference the SoA path is tested against.
-    pub fn commit_accesses(&mut self, ops: u64, accesses: &[Access]) {
-        self.cycles += ops;
-        self.ops += ops;
-        self.cache.access_block(accesses);
+    /// Resets the engine and runs the ops `trace` emits through the
+    /// batched path over the engine's own scratch block (the body of
+    /// [`Workload::run`](crate::Workload::run)).
+    pub(crate) fn run_with_scratch(
+        &mut self,
+        trace: impl FnOnce(&mut dyn TraceSink),
+    ) -> KernelStats {
+        let mut scratch = core::mem::take(&mut self.scratch);
+        let stats = batch::run_trace(self, &mut scratch, trace);
+        self.scratch = scratch;
+        stats
     }
 
     /// Charges idle cycles without memory traffic (e.g. pipeline drain).
@@ -95,21 +117,6 @@ impl SimdEngine {
     #[must_use]
     pub fn cache(&self) -> &Cache {
         &self.cache
-    }
-
-    /// Drives N independent workload traces through interleaved batched
-    /// cache passes; see [`crate::batch::run_batch`] (this is the same
-    /// function, re-homed for discoverability).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `config` is invalid.
-    #[must_use]
-    pub fn run_batch(
-        config: &CacheConfig,
-        workloads: &[&dyn crate::kernels::Workload],
-    ) -> Vec<crate::kernels::KernelStats> {
-        crate::batch::run_batch(config, workloads)
     }
 
     /// The backing cache's statistics.

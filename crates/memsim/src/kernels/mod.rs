@@ -191,13 +191,14 @@ pub trait Workload: Send + Sync {
     /// Emits the workload's access trace into `sink`.
     fn trace(&self, sink: &mut dyn TraceSink);
 
-    /// Runs the trace through `engine` (reset first) and snapshots the
-    /// resulting stats. Engine reuse across calls keeps sweeps from
-    /// reallocating the cache per point.
+    /// Runs the trace through `engine` (reset first) on the batched path
+    /// and snapshots the resulting stats. The ops are packed into a
+    /// scratch block the engine owns and reuses, so engine reuse across
+    /// calls keeps sweeps from reallocating the cache or the block per
+    /// point. Counters and cache state are identical to feeding every op
+    /// through [`SimdEngine::op`].
     fn run(&self, engine: &mut SimdEngine) -> KernelStats {
-        engine.reset();
-        self.trace(engine);
-        KernelStats::from_engine(engine)
+        engine.run_with_scratch(|sink| self.trace(sink))
     }
 
     /// Replays the trace through `profiler` (reset first) and summarises

@@ -35,10 +35,7 @@
 //! assert!(tiled.offchip_bytes < untiled.offchip_bytes / 4);
 //! ```
 
-#![deny(unsafe_code)]
-// ^ `deny` rather than `forbid`: the `probe` module opts back in locally
-// for `std::arch` intrinsics (see its module docs); everything else stays
-// unsafe-free.
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 #![allow(clippy::neg_cmp_op_on_partial_ord)]
 // ^ `!(x > 0.0)` is used deliberately in validation: unlike `x <= 0.0`
@@ -54,11 +51,10 @@ mod probe;
 mod reuse;
 
 pub use access::{Access, AccessKind, Addr, VarClass};
-pub use batch::{run_batch, run_buffered, BatchSink};
+pub use batch::{run_buffered, BatchSink};
 pub use block::AccessBlock;
 pub use cache::{
-    Cache, CacheConfig, CacheConfigError, CacheStats, LineState, ProbePath, ReplacementPolicy,
-    WritePolicy,
+    Cache, CacheConfig, CacheConfigError, CacheStats, LineState, ReplacementPolicy, WritePolicy,
 };
 pub use engine::{BandwidthReport, SimdEngine, SIMD_WIDTH_BYTES};
 pub use kernels::{KernelStats, Technique, Workload};

@@ -1,5 +1,4 @@
-//! Way-parallel set probes: SWAR over a packed tag signature, plus
-//! `std::arch` variants for the common associativities.
+//! The SWAR set probe over a packed tag signature.
 //!
 //! # Packed signature
 //!
@@ -25,27 +24,6 @@
 //! positive), but never misses a zero byte and never marks a byte whose
 //! high bit is set in `x` — the two properties the correctness argument
 //! above relies on.
-//!
-//! # Victim select
-//!
-//! Replacement keys are `(stamp << 6) | way`: invalid ways carry stamp 0
-//! and win outright, ties break to the lowest way, and the shift is exact
-//! while `tick < 2^58`. The portable path reduces the keys with a
-//! log-depth min tree; the AVX2 path evaluates all eight keys in two
-//! vectors and reduces with unsigned 64-bit mins (sign-flip + signed
-//! compare, exact for all key values).
-//!
-//! # Safety
-//!
-//! This is the only module in the crate allowed to use `unsafe` (the
-//! crate root is `deny(unsafe_code)`), and every unsafe block is a
-//! `std::arch` intrinsic call gated on the matching target feature:
-//! SSE2 is part of the x86_64 baseline, AVX2 is runtime-detected once
-//! per cache via [`detect`], and NEON is part of the aarch64 baseline.
-//! All loads go through fixed-size array references, so bounds are
-//! checked (at compile time) before any pointer is formed.
-
-use crate::cache::FLAG_VALID;
 
 /// Lane-replication constant: `b * LANES` broadcasts byte `b`.
 const LANES: u64 = 0x0101_0101_0101_0101;
@@ -56,38 +34,6 @@ const HIGH: u64 = 0x8080_8080_8080_8080;
 #[inline]
 pub(crate) fn sig_byte(tag: u64) -> u64 {
     0x80 | (tag & 0x7f)
-}
-
-/// Widest vector probe the current host can run.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub(crate) enum SimdLevel {
-    /// No usable vector ISA; `ProbePath::Simd` is unavailable.
-    None,
-    /// 128-bit baseline (SSE2 on x86_64, NEON on aarch64): vector hit
-    /// probe, portable victim select.
-    V128,
-    /// AVX2: 256-bit hit probe and vectorised victim select.
-    V256,
-}
-
-/// Detects the widest probe level once per cache construction.
-pub(crate) fn detect() -> SimdLevel {
-    #[cfg(target_arch = "x86_64")]
-    {
-        if std::arch::is_x86_feature_detected!("avx2") {
-            SimdLevel::V256
-        } else {
-            SimdLevel::V128
-        }
-    }
-    #[cfg(target_arch = "aarch64")]
-    {
-        SimdLevel::V128
-    }
-    #[cfg(not(any(target_arch = "x86_64", target_arch = "aarch64")))]
-    {
-        SimdLevel::None
-    }
 }
 
 /// SWAR hit probe: returns the matching way, or `usize::MAX` on a miss.
@@ -106,250 +52,6 @@ pub(crate) fn swar_hit(sig: u64, tags: &[u64], tag: u64) -> usize {
         cand &= cand - 1;
     }
     usize::MAX
-}
-
-/// Valid-way bitmask from a set's way-packed flag bytes (`N <= 8`):
-/// bit `w` of the result is `flags[w] & FLAG_VALID`. The multiply
-/// gathers bit `8w` of the flag word into bit `56 + w`; the chosen
-/// constant places each product bit uniquely, so no carries interfere.
-#[inline]
-pub(crate) fn valid_mask<const N: usize>(flags: &[u8; N]) -> u32 {
-    let mut word = [0u8; 8];
-    word[..N].copy_from_slice(flags);
-    let v = u64::from_le_bytes(word) & (LANES * u64::from(FLAG_VALID));
-    (v.wrapping_mul(0x0102_0408_1020_4080) >> 56) as u32
-}
-
-/// Hit mask for an 8-way set using the detected vector ISA. The caller
-/// still ANDs with [`valid_mask`]. Must only be called with the level
-/// [`detect`] reported (never [`SimdLevel::None`]).
-#[inline]
-#[allow(unsafe_code)]
-pub(crate) fn simd_hit_mask8(level: SimdLevel, tags: &[u64; 8], tag: u64) -> u32 {
-    #[cfg(target_arch = "x86_64")]
-    {
-        if level == SimdLevel::V256 {
-            // SAFETY: `V256` is only ever reported when AVX2 was detected.
-            return unsafe { x86::hit_mask8_avx2(tags, tag) };
-        }
-        x86::hit_mask8_sse2(tags, tag)
-    }
-    #[cfg(target_arch = "aarch64")]
-    {
-        let _ = level;
-        neon::hit_mask8_neon(tags, tag)
-    }
-    #[cfg(not(any(target_arch = "x86_64", target_arch = "aarch64")))]
-    {
-        let _ = (level, tags, tag);
-        unreachable!("ProbePath::Simd is never selected without a vector ISA")
-    }
-}
-
-/// Hit mask for a 4-way set using the detected vector ISA.
-#[inline]
-#[allow(unsafe_code)]
-pub(crate) fn simd_hit_mask4(level: SimdLevel, tags: &[u64; 4], tag: u64) -> u32 {
-    #[cfg(target_arch = "x86_64")]
-    {
-        if level == SimdLevel::V256 {
-            // SAFETY: `V256` is only ever reported when AVX2 was detected.
-            return unsafe { x86::hit_mask4_avx2(tags, tag) };
-        }
-        x86::hit_mask4_sse2(tags, tag)
-    }
-    #[cfg(target_arch = "aarch64")]
-    {
-        let _ = level;
-        neon::hit_mask4_neon(tags, tag)
-    }
-    #[cfg(not(any(target_arch = "x86_64", target_arch = "aarch64")))]
-    {
-        let _ = (level, tags, tag);
-        unreachable!("ProbePath::Simd is never selected without a vector ISA")
-    }
-}
-
-/// Vectorised 8-way victim select, or `None` when the host's level has no
-/// profitable vector min (the caller falls back to the portable tree).
-#[inline]
-#[allow(unsafe_code)]
-pub(crate) fn simd_victim8(level: SimdLevel, stamps: &[u64; 8]) -> Option<usize> {
-    #[cfg(target_arch = "x86_64")]
-    if level == SimdLevel::V256 {
-        // SAFETY: `V256` is only ever reported when AVX2 was detected.
-        return Some(unsafe { x86::victim8_avx2(stamps) });
-    }
-    let _ = (level, stamps);
-    None
-}
-
-/// Vectorised 4-way victim select; see [`simd_victim8`].
-#[inline]
-#[allow(unsafe_code)]
-pub(crate) fn simd_victim4(level: SimdLevel, stamps: &[u64; 4]) -> Option<usize> {
-    #[cfg(target_arch = "x86_64")]
-    if level == SimdLevel::V256 {
-        // SAFETY: `V256` is only ever reported when AVX2 was detected.
-        return Some(unsafe { x86::victim4_avx2(stamps) });
-    }
-    let _ = (level, stamps);
-    None
-}
-
-#[cfg(target_arch = "x86_64")]
-#[allow(unsafe_code)]
-pub(crate) mod x86 {
-    //! x86_64 probes. SSE2 functions are safe to call anywhere (SSE2 is
-    //! part of the x86_64 baseline); AVX2 functions must only be called
-    //! after [`super::detect`] returned [`super::SimdLevel::V256`].
-    use core::arch::x86_64::{
-        __m128i, __m256i, _mm256_blendv_epi8, _mm256_castsi256_pd, _mm256_cmpeq_epi64,
-        _mm256_cmpgt_epi64, _mm256_extract_epi64, _mm256_loadu_si256, _mm256_movemask_pd,
-        _mm256_or_si256, _mm256_permute4x64_epi64, _mm256_set1_epi64x, _mm256_set_epi64x,
-        _mm256_shuffle_epi32, _mm256_slli_epi64, _mm256_xor_si256, _mm_and_si128, _mm_castsi128_pd,
-        _mm_cmpeq_epi32, _mm_loadu_si128, _mm_movemask_pd, _mm_set1_epi64x, _mm_shuffle_epi32,
-    };
-
-    /// Hit mask for a 4-way set via SSE2: bit `w` set iff `tags[w] ==
-    /// tag`. 64-bit equality is emulated as a 32-bit lane compare ANDed
-    /// with its pair-swapped self (SSE2 has no `pcmpeqq`).
-    #[inline]
-    pub(crate) fn hit_mask4_sse2(tags: &[u64; 4], tag: u64) -> u32 {
-        // SAFETY: SSE2 is unconditionally available on x86_64, and both
-        // loads read 16 bytes from a 32-byte array.
-        unsafe {
-            let t = _mm_set1_epi64x(tag as i64);
-            let eq = |v: __m128i| {
-                let e = _mm_cmpeq_epi32(v, t);
-                let swapped = _mm_shuffle_epi32::<0b1011_0001>(e);
-                _mm_movemask_pd(_mm_castsi128_pd(_mm_and_si128(e, swapped))) as u32
-            };
-            let lo = _mm_loadu_si128(tags.as_ptr().cast());
-            let hi = _mm_loadu_si128(tags.as_ptr().add(2).cast());
-            eq(lo) | (eq(hi) << 2)
-        }
-    }
-
-    /// Hit mask for an 8-way set via SSE2.
-    #[inline]
-    pub(crate) fn hit_mask8_sse2(tags: &[u64; 8], tag: u64) -> u32 {
-        let lo: &[u64; 4] = tags[..4].try_into().expect("8-way prefix");
-        let hi: &[u64; 4] = tags[4..].try_into().expect("8-way suffix");
-        hit_mask4_sse2(lo, tag) | (hit_mask4_sse2(hi, tag) << 4)
-    }
-
-    /// Hit mask for a 4-way set via AVX2 (`_mm256_cmpeq_epi64` is a true
-    /// 64-bit compare).
-    ///
-    /// # Safety
-    ///
-    /// Caller must have verified AVX2 support.
-    #[target_feature(enable = "avx2")]
-    pub(crate) unsafe fn hit_mask4_avx2(tags: &[u64; 4], tag: u64) -> u32 {
-        let v = _mm256_loadu_si256(tags.as_ptr().cast());
-        let e = _mm256_cmpeq_epi64(v, _mm256_set1_epi64x(tag as i64));
-        _mm256_movemask_pd(_mm256_castsi256_pd(e)) as u32
-    }
-
-    /// Hit mask for an 8-way set via AVX2.
-    ///
-    /// # Safety
-    ///
-    /// Caller must have verified AVX2 support.
-    #[target_feature(enable = "avx2")]
-    pub(crate) unsafe fn hit_mask8_avx2(tags: &[u64; 8], tag: u64) -> u32 {
-        let t = _mm256_set1_epi64x(tag as i64);
-        let lo = _mm256_loadu_si256(tags.as_ptr().cast());
-        let hi = _mm256_loadu_si256(tags.as_ptr().add(4).cast());
-        let m0 = _mm256_movemask_pd(_mm256_castsi256_pd(_mm256_cmpeq_epi64(lo, t))) as u32;
-        let m1 = _mm256_movemask_pd(_mm256_castsi256_pd(_mm256_cmpeq_epi64(hi, t))) as u32;
-        m0 | (m1 << 4)
-    }
-
-    /// Unsigned 64-bit lane minimum: AVX2 only has a *signed* compare,
-    /// so flip the sign bit of both operands first (an order-preserving
-    /// bijection from unsigned to signed order).
-    ///
-    /// # Safety
-    ///
-    /// Caller must have verified AVX2 support.
-    #[target_feature(enable = "avx2")]
-    unsafe fn min_epu64(a: __m256i, b: __m256i) -> __m256i {
-        let sign = _mm256_set1_epi64x(i64::MIN);
-        let gt = _mm256_cmpgt_epi64(_mm256_xor_si256(a, sign), _mm256_xor_si256(b, sign));
-        _mm256_blendv_epi8(a, b, gt)
-    }
-
-    /// Victim select for an 8-way set via AVX2: the way of the minimum
-    /// `(stamp << 6) | way` key (first minimum, since keys are unique).
-    ///
-    /// # Safety
-    ///
-    /// Caller must have verified AVX2 support.
-    #[target_feature(enable = "avx2")]
-    pub(crate) unsafe fn victim8_avx2(stamps: &[u64; 8]) -> usize {
-        let lo = _mm256_loadu_si256(stamps.as_ptr().cast());
-        let hi = _mm256_loadu_si256(stamps.as_ptr().add(4).cast());
-        let lo = _mm256_or_si256(_mm256_slli_epi64::<6>(lo), _mm256_set_epi64x(3, 2, 1, 0));
-        let hi = _mm256_or_si256(_mm256_slli_epi64::<6>(hi), _mm256_set_epi64x(7, 6, 5, 4));
-        let m = min_epu64(lo, hi);
-        // Horizontal min of 4 lanes: fold across 128-bit halves, then
-        // across 64-bit lanes within the half.
-        let m = min_epu64(m, _mm256_permute4x64_epi64::<0b0100_1110>(m));
-        let m = min_epu64(m, _mm256_shuffle_epi32::<0b0100_1110>(m));
-        (_mm256_extract_epi64::<0>(m) as u64 & 63) as usize
-    }
-
-    /// Victim select for a 4-way set via AVX2.
-    ///
-    /// # Safety
-    ///
-    /// Caller must have verified AVX2 support.
-    #[target_feature(enable = "avx2")]
-    pub(crate) unsafe fn victim4_avx2(stamps: &[u64; 4]) -> usize {
-        let v = _mm256_loadu_si256(stamps.as_ptr().cast());
-        let keys = _mm256_or_si256(_mm256_slli_epi64::<6>(v), _mm256_set_epi64x(3, 2, 1, 0));
-        let m = min_epu64(keys, _mm256_permute4x64_epi64::<0b0100_1110>(keys));
-        let m = min_epu64(m, _mm256_shuffle_epi32::<0b0100_1110>(m));
-        (_mm256_extract_epi64::<0>(m) as u64 & 63) as usize
-    }
-}
-
-#[cfg(target_arch = "aarch64")]
-#[allow(unsafe_code)]
-pub(crate) mod neon {
-    //! aarch64 probes. NEON is part of the aarch64 baseline, so these are
-    //! callable unconditionally on that architecture.
-    use core::arch::aarch64::{uint64x2_t, vceqq_u64, vdupq_n_u64, vgetq_lane_u64, vld1q_u64};
-
-    /// Two-bit hit mask for one 128-bit pair of tags.
-    #[inline]
-    unsafe fn pair_mask(pair: uint64x2_t, t: uint64x2_t) -> u32 {
-        let e = vceqq_u64(pair, t);
-        (vgetq_lane_u64::<0>(e) & 1) as u32 | ((vgetq_lane_u64::<1>(e) & 1) as u32) << 1
-    }
-
-    /// Hit mask for a 4-way set via NEON.
-    #[inline]
-    pub(crate) fn hit_mask4_neon(tags: &[u64; 4], tag: u64) -> u32 {
-        // SAFETY: NEON is part of the aarch64 baseline and both loads
-        // read 16 bytes from a 32-byte array.
-        unsafe {
-            let t = vdupq_n_u64(tag);
-            let lo = vld1q_u64(tags.as_ptr());
-            let hi = vld1q_u64(tags.as_ptr().add(2));
-            pair_mask(lo, t) | (pair_mask(hi, t) << 2)
-        }
-    }
-
-    /// Hit mask for an 8-way set via NEON.
-    #[inline]
-    pub(crate) fn hit_mask8_neon(tags: &[u64; 8], tag: u64) -> u32 {
-        let lo: &[u64; 4] = tags[..4].try_into().expect("8-way prefix");
-        let hi: &[u64; 4] = tags[4..].try_into().expect("8-way suffix");
-        hit_mask4_neon(lo, tag) | (hit_mask4_neon(hi, tag) << 4)
-    }
 }
 
 #[cfg(test)]
@@ -381,74 +83,5 @@ mod tests {
         let tags = [0u64; 8];
         assert_eq!(swar_hit(0, &tags, 0), usize::MAX);
         assert_eq!(swar_hit(0, &tags, 0x80), usize::MAX);
-    }
-
-    #[test]
-    fn valid_mask_gathers_flag_bits() {
-        assert_eq!(valid_mask(&[1u8, 0, 1, 3, 0, 1, 2, 1]), 0b1010_1101);
-        assert_eq!(valid_mask(&[0u8; 8]), 0);
-        assert_eq!(valid_mask(&[1u8; 8]), 0xff);
-        assert_eq!(valid_mask(&[1u8, 0, 3, 1]), 0b1101);
-        assert_eq!(valid_mask(&[1u8]), 1);
-    }
-
-    #[cfg(target_arch = "x86_64")]
-    #[test]
-    fn sse2_masks_match_scalar() {
-        let tags8: [u64; 8] = [5, 9, 5, 0, u64::MAX, 1 << 40, 5, 2];
-        for probe in [5u64, 9, 0, u64::MAX, 1 << 40, 7] {
-            let want8 = (0..8).filter(|&w| tags8[w] == probe).fold(0u32, |m, w| m | 1 << w);
-            assert_eq!(x86::hit_mask8_sse2(&tags8, probe), want8, "probe={probe}");
-            let tags4: [u64; 4] = tags8[..4].try_into().unwrap();
-            let want4 = want8 & 0xf;
-            assert_eq!(x86::hit_mask4_sse2(&tags4, probe), want4, "probe={probe}");
-        }
-        // Halves-match-but-not-64-bit cases the 32-bit emulation must
-        // reject: same low word, same high word, never both.
-        let tricky: [u64; 4] = [0x1_0000_0002, 0x3_0000_0002, 0x1_0000_0004, 0x9_0000_0009];
-        assert_eq!(x86::hit_mask4_sse2(&tricky, 0x1_0000_0002), 1);
-        assert_eq!(x86::hit_mask4_sse2(&tricky, 0x3_0000_0004), 0);
-    }
-
-    #[cfg(target_arch = "x86_64")]
-    #[test]
-    fn avx2_paths_match_scalar() {
-        if detect() != SimdLevel::V256 {
-            eprintln!("skipping: AVX2 not available on this host");
-            return;
-        }
-        let tags8: [u64; 8] = [5, 9, 5, 0, u64::MAX, 1 << 40, 5, 2];
-        for probe in [5u64, 9, 0, u64::MAX, 1 << 40, 7] {
-            let want8 = (0..8).filter(|&w| tags8[w] == probe).fold(0u32, |m, w| m | 1 << w);
-            // SAFETY: AVX2 support verified above.
-            #[allow(unsafe_code)]
-            let (got8, got4) = unsafe {
-                let tags4: [u64; 4] = tags8[..4].try_into().unwrap();
-                (x86::hit_mask8_avx2(&tags8, probe), x86::hit_mask4_avx2(&tags4, probe))
-            };
-            assert_eq!(got8, want8, "probe={probe}");
-            assert_eq!(got4, want8 & 0xf, "probe={probe}");
-        }
-        // Victim select: first minimum of (stamp << 6) | way, including
-        // ties, zeros (invalid ways), and huge stamps.
-        let cases: [[u64; 8]; 4] = [
-            [8, 7, 6, 5, 4, 3, 2, 1],
-            [3, 3, 3, 3, 3, 3, 3, 3],
-            [5, 0, 9, 0, 2, 1, 1 << 57, 4],
-            [1 << 57, (1 << 57) + 1, 7, 7, 9, 2, 2, 8],
-        ];
-        for stamps in &cases {
-            let want = (0..8).min_by_key(|&w| (stamps[w] << 6) | w as u64).unwrap();
-            // SAFETY: AVX2 support verified above.
-            #[allow(unsafe_code)]
-            let got = unsafe { x86::victim8_avx2(stamps) };
-            assert_eq!(got, want, "stamps={stamps:?}");
-            let stamps4: [u64; 4] = stamps[..4].try_into().unwrap();
-            let want4 = (0..4).min_by_key(|&w| (stamps4[w] << 6) | w as u64).unwrap();
-            // SAFETY: AVX2 support verified above.
-            #[allow(unsafe_code)]
-            let got4 = unsafe { x86::victim4_avx2(&stamps4) };
-            assert_eq!(got4, want4, "stamps={stamps4:?}");
-        }
     }
 }

@@ -79,13 +79,12 @@ impl ReuseProfiler {
     }
 
     /// Records a multi-byte access as touches of each element it covers.
+    /// Like the cache's line spans, an access past the top of the
+    /// address ring wraps to address 0.
     pub fn touch_access(&mut self, access: &Access) {
-        let step = u64::from(self.elem_bytes);
-        let mut a = access.addr.0;
-        let end = access.addr.0 + u64::from(access.bytes.max(1));
-        while a < end {
-            self.touch(Addr(a), access.class);
-            a += step;
+        let step = self.elem_bytes as usize;
+        for offset in (0..u64::from(access.bytes.max(1))).step_by(step) {
+            self.touch(access.addr.offset(offset), access.class);
         }
     }
 
@@ -232,6 +231,15 @@ mod tests {
         p.touch_access(&Access::read(Addr(0), 16, VarClass::Cold));
         assert_eq!(p.summary().variables().len(), 4);
         assert_eq!(p.touches(), 4);
+    }
+
+    #[test]
+    fn touch_access_wraps_past_the_top_of_the_ring() {
+        let mut p = ReuseProfiler::new(4);
+        p.touch_access(&Access::read(Addr(u64::MAX - 3), 12, VarClass::Cold));
+        let addrs: Vec<Addr> = p.summary().variables().iter().map(|v| v.addr).collect();
+        assert_eq!(addrs, [Addr(0), Addr(4), Addr(u64::MAX - 3)]);
+        assert_eq!(p.touches(), 3);
     }
 
     #[test]

@@ -1,269 +1,63 @@
-//! Differential proptests pinning the cache fast path (line buffer, fused
-//! set pass, run coalescing) to a straightforward reference model.
-//!
-//! The reference below is an independent reimplementation in the style the
-//! simulator started from — one `Vec<Vec<Line>>` of per-set line structs,
-//! a linear scan per access, first-invalid-then-lowest-stamp victim
-//! choice. Comparing [`Cache::line_states`] snapshots (not just counters)
-//! pins the exact victim choices and LRU/FIFO stamps, so any fast-path
-//! shortcut that changed a single replacement decision would fail here
-//! even if the aggregate statistics happened to agree.
+//! Differential proptests pinning the cache's fast and per-op paths to
+//! the [`RefCache`] oracle in `common`: the SoA pass with its line buffer
+//! over arbitrarily chunked and spliced blocks, and per-op
+//! [`SimdEngine::op`] over operand groups holding real same-line runs.
+//! Both statistics and full line states must match.
 
+mod common;
+
+use common::{any_config, any_ops, check, pack, per_op_engine, RefCache};
 use proptest::prelude::*;
-use pudiannao_memsim::{
-    Access, AccessKind, Addr, Cache, CacheConfig, CacheStats, ReplacementPolicy, VarClass,
-    WritePolicy,
-};
-
-#[derive(Clone, Copy, Default)]
-struct RefLine {
-    tag: u64,
-    valid: bool,
-    dirty: bool,
-    stamp: u64,
-}
-
-/// The reference cache: per-set line vectors, no line buffer, no
-/// coalescing, no fused scans.
-struct RefCache {
-    cfg: CacheConfig,
-    sets: Vec<Vec<RefLine>>,
-    stats: CacheStats,
-    tick: u64,
-    line_shift: u32,
-    set_bits: u32,
-    set_mask: u64,
-}
-
-impl RefCache {
-    fn new(cfg: CacheConfig) -> RefCache {
-        let sets = cfg.sets();
-        RefCache {
-            line_shift: cfg.line_bytes.trailing_zeros(),
-            set_bits: sets.trailing_zeros(),
-            set_mask: u64::from(sets - 1),
-            sets: vec![vec![RefLine::default(); cfg.ways as usize]; sets as usize],
-            stats: CacheStats::default(),
-            tick: 0,
-            cfg,
-        }
-    }
-
-    fn access(&mut self, a: Access) {
-        let start = a.addr.0 >> self.line_shift;
-        let end = (a.addr.0 + u64::from(a.bytes.max(1)) - 1) >> self.line_shift;
-        for line_addr in start..=end {
-            self.tick += 1;
-            self.access_line(line_addr, a.kind, a.bytes);
-        }
-    }
-
-    fn access_line(&mut self, line_addr: u64, kind: AccessKind, bytes: u32) {
-        let line_bytes = u64::from(self.cfg.line_bytes);
-        let set_idx = (line_addr & self.set_mask) as usize;
-        let tag = line_addr >> self.set_bits;
-        let set = &mut self.sets[set_idx];
-        if let Some(line) = set.iter_mut().find(|l| l.valid && l.tag == tag) {
-            match kind {
-                AccessKind::Read => self.stats.read_hits += 1,
-                AccessKind::Write => {
-                    self.stats.write_hits += 1;
-                    match self.cfg.write_policy {
-                        WritePolicy::WriteBackAllocate => line.dirty = true,
-                        WritePolicy::WriteAroundNoAllocate => {
-                            self.stats.offchip_write_bytes += u64::from(bytes).min(line_bytes);
-                        }
-                    }
-                }
-            }
-            if self.cfg.replacement == ReplacementPolicy::Lru {
-                line.stamp = self.tick;
-            }
-            return;
-        }
-        let fill_dirty = match kind {
-            AccessKind::Read => {
-                self.stats.read_misses += 1;
-                self.stats.offchip_read_bytes += line_bytes;
-                false
-            }
-            AccessKind::Write => {
-                self.stats.write_misses += 1;
-                match self.cfg.write_policy {
-                    WritePolicy::WriteBackAllocate => {
-                        // Fetch-on-write then dirty the line.
-                        self.stats.offchip_read_bytes += line_bytes;
-                        true
-                    }
-                    WritePolicy::WriteAroundNoAllocate => {
-                        self.stats.offchip_write_bytes += u64::from(bytes).min(line_bytes);
-                        return; // no allocation
-                    }
-                }
-            }
-        };
-        // First invalid way, else the first way with the lowest stamp.
-        let victim = set.iter().position(|l| !l.valid).unwrap_or_else(|| {
-            set.iter().enumerate().min_by_key(|(w, l)| (l.stamp, *w)).expect("ways is non-zero").0
-        });
-        let line = &mut set[victim];
-        if line.valid {
-            self.stats.evictions += 1;
-            if line.dirty {
-                self.stats.offchip_write_bytes += line_bytes;
-            }
-        }
-        *line = RefLine { tag, valid: true, dirty: fill_dirty, stamp: self.tick };
-    }
-
-    /// `(set, way, tag, valid, dirty, stamp)` tuples matching the layout
-    /// of [`Cache::line_states`]. Tags of invalid lines are masked to 0 on
-    /// both sides — the fast cache leaves stale tags behind on reset-free
-    /// histories only in never-filled slots, where they are 0 anyway, but
-    /// masking keeps the comparison about *meaningful* state.
-    fn line_states(&self) -> Vec<(u32, u32, u64, bool, bool, u64)> {
-        self.sets
-            .iter()
-            .enumerate()
-            .flat_map(|(s, set)| {
-                set.iter().enumerate().map(move |(w, l)| {
-                    (s as u32, w as u32, if l.valid { l.tag } else { 0 }, l.valid, l.dirty, l.stamp)
-                })
-            })
-            .collect()
-    }
-}
-
-fn fast_line_states(cache: &Cache) -> Vec<(u32, u32, u64, bool, bool, u64)> {
-    cache
-        .line_states()
-        .into_iter()
-        .map(|l| (l.set, l.way, if l.valid { l.tag } else { 0 }, l.valid, l.dirty, l.stamp))
-        .collect()
-}
-
-/// Small configurations with few sets force evictions and conflict misses;
-/// way counts cover every specialized scan (1/2/4/8), the dynamic
-/// fallback (3), and the beyond-SWAR linear fallback (16).
-fn any_config() -> impl Strategy<Value = CacheConfig> {
-    (
-        (
-            prop_oneof![Just(1u32), Just(2u32), Just(3u32), Just(4u32), Just(8u32), Just(16u32)],
-            prop_oneof![Just(16u32), Just(64u32)],
-            prop_oneof![Just(1u32), Just(2u32), Just(4u32)],
-        ),
-        (
-            prop_oneof![
-                Just(WritePolicy::WriteBackAllocate),
-                Just(WritePolicy::WriteAroundNoAllocate)
-            ],
-            prop_oneof![Just(ReplacementPolicy::Lru), Just(ReplacementPolicy::Fifo)],
-        ),
-    )
-        .prop_map(|((ways, line_bytes, sets), (write_policy, replacement))| CacheConfig {
-            capacity_bytes: line_bytes * ways * sets,
-            line_bytes,
-            ways,
-            replacement,
-            write_policy,
-        })
-}
-
-const CLASSES: [VarClass; 4] = [VarClass::Hot, VarClass::Cold, VarClass::Output, VarClass::Stream];
-
-/// Accesses over a narrow address window (heavy aliasing) with spans that
-/// sometimes cross lines, plus a repeat count so the trace contains real
-/// same-line runs for the coalescer to merge.
-fn any_burst() -> impl Strategy<Value = (Access, usize)> {
-    ((0u64..2048, 1u32..97, any::<bool>()), (0usize..4, 0usize..4)).prop_map(
-        |((addr, bytes, write), (class, repeats))| {
-            let kind = if write { AccessKind::Write } else { AccessKind::Read };
-            (Access { addr: Addr(addr), bytes, kind, class: CLASSES[class] }, repeats)
-        },
-    )
-}
-
-/// Expands bursts into a flat trace and chops it into SIMD-op-sized
-/// operand groups (what `SimdEngine::op` feeds to `Cache::access_run`).
-fn expand(bursts: &[(Access, usize)], group: usize) -> Vec<Vec<Access>> {
-    let flat: Vec<Access> =
-        bursts.iter().flat_map(|&(a, repeats)| std::iter::repeat_n(a, repeats + 1)).collect();
-    flat.chunks(group.max(1)).map(<[Access]>::to_vec).collect()
-}
+use pudiannao_memsim::{AccessBlock, Cache, SimdEngine};
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
-    /// `Cache::access` (line buffer + fused set pass) leaves statistics
+    /// `Cache::access_soa` (line buffer + SWAR or linear set lookup) over
+    /// any chunking and splicing of the packed trace leaves statistics
     /// AND per-line state — tags, valid/dirty bits, LRU/FIFO stamps, and
     /// therefore every victim choice — identical to the reference model.
     #[test]
     fn fast_access_matches_reference(
         cfg in any_config(),
-        bursts in proptest::collection::vec(any_burst(), 1..120),
+        ops in any_ops(1..60),
+        chunk in 1usize..8,
+        splice in 1usize..4,
     ) {
-        let mut fast = Cache::new(cfg.clone()).unwrap();
-        let mut reference = RefCache::new(cfg);
-        for &(a, _) in &bursts {
-            fast.access(a);
-            reference.access(a);
+        let reference = RefCache::run(&cfg, &ops);
+        let mut soa = Cache::new(cfg.clone()).unwrap();
+        for block in pack(&ops, cfg.line_bytes, chunk, splice) {
+            soa.access_soa(&block);
         }
-        prop_assert_eq!(*fast.stats(), reference.stats);
-        prop_assert_eq!(fast_line_states(&fast), reference.line_states());
+        check(&soa, &reference, "access_soa");
     }
 
-    /// `Cache::access_run` over operand groups and `Cache::access_block`
-    /// over the whole flattened trace are equivalent, counter for counter
-    /// and stamp for stamp, to scalar accesses in order — on the
-    /// reference model, the fast per-access path, and the unbuffered
-    /// `access_scalar` path, all at once.
+    /// Per-op `SimdEngine::op` over operand groups, one `commit_block`
+    /// of the whole trace, and `access_scalar` access by access are each
+    /// equivalent, counter for counter and stamp for stamp, to the
+    /// reference model; the engine counts one op and one cycle per group.
     #[test]
-    fn coalesced_run_matches_reference(
-        cfg in any_config(),
-        bursts in proptest::collection::vec(any_burst(), 1..80),
-        group in 1usize..6,
-    ) {
-        let ops = expand(&bursts, group);
-        let mut run = Cache::new(cfg.clone()).unwrap();
-        let mut block = Cache::new(cfg.clone()).unwrap();
+    fn coalesced_run_matches_reference(cfg in any_config(), ops in any_ops(1..60)) {
+        let reference = RefCache::run(&cfg, &ops);
+
+        let engine = per_op_engine(&cfg, &ops);
+        check(engine.cache(), &reference, "SimdEngine::op");
+        prop_assert_eq!(engine.report().ops, ops.len() as u64);
+        prop_assert_eq!(engine.report().cycles, ops.len() as u64);
+
+        let mut block = AccessBlock::new(cfg.line_bytes);
+        for op in &ops {
+            block.push_op(op);
+        }
+        let mut batched = SimdEngine::new(cfg.clone()).unwrap();
+        batched.commit_block(&block);
+        check(batched.cache(), &reference, "SimdEngine::commit_block");
+        prop_assert_eq!(batched.report(), engine.report());
+
         let mut scalar = Cache::new(cfg.clone()).unwrap();
-        let mut reference = RefCache::new(cfg);
-        let flat: Vec<Access> = ops.iter().flatten().copied().collect();
-        block.access_block(&flat);
-        for op in &ops {
-            run.access_run(op);
-            for &a in op {
-                scalar.access_scalar(a);
-                reference.access(a);
-            }
+        for &a in ops.iter().flatten() {
+            scalar.access_scalar(a);
         }
-        prop_assert_eq!(*run.stats(), reference.stats);
-        prop_assert_eq!(fast_line_states(&run), reference.line_states());
-        prop_assert_eq!(*block.stats(), reference.stats);
-        prop_assert_eq!(fast_line_states(&block), reference.line_states());
-        prop_assert_eq!(*scalar.stats(), reference.stats);
-        prop_assert_eq!(fast_line_states(&scalar), reference.line_states());
-    }
-
-    /// Reset really does return the fast path to a pristine state: a
-    /// trace replayed after `reset` behaves exactly like a fresh cache.
-    #[test]
-    fn reset_is_pristine(
-        cfg in any_config(),
-        bursts in proptest::collection::vec(any_burst(), 1..60),
-    ) {
-        let ops = expand(&bursts, 3);
-        let mut reused = Cache::new(cfg.clone()).unwrap();
-        for op in &ops {
-            reused.access_run(op);
-        }
-        reused.reset();
-        let mut fresh = Cache::new(cfg).unwrap();
-        for op in &ops {
-            reused.access_run(op);
-            fresh.access_run(op);
-        }
-        prop_assert_eq!(*reused.stats(), *fresh.stats());
-        prop_assert_eq!(fast_line_states(&reused), fast_line_states(&fresh));
+        check(&scalar, &reference, "access_scalar");
     }
 }

@@ -1,180 +1,88 @@
-//! Differential coverage of the set-probe paths behind
-//! [`Cache::access_block`] and the per-op fast path.
+//! Differential coverage of the set lookups behind [`Cache::access_soa`]
+//! and [`Cache::access_scalar`].
 //!
-//! The linear `Scan` probe is the portable baseline every other path must
-//! match: `Swar` (packed-signature bit tricks) and `Simd`
-//! (`std::arch` tag compares) are forced onto caches fed the *same*
-//! trace, and both statistics and full [`Cache::line_states`] snapshots —
-//! tags, valid/dirty bits, LRU/FIFO stamps, hence every victim choice —
-//! must agree bit for bit. The `Simd` comparisons skip cleanly on hosts
-//! without a vector ISA (`force_probe_path` reports support), which is
-//! exactly how `scripts/check.sh --bench` runs this suite everywhere.
+//! The geometry alone picks the lookup: the SWAR signature probe for
+//! `ways <= 8`, a linear scan beyond. Every way count on either side of
+//! that line, single-set caches and 1-byte lines (no line buffer, so
+//! every access reaches the lookup) run through both entry points, and
+//! both statistics and full line states must equal the [`RefCache`]
+//! oracle in `common`.
 
+mod common;
+
+use common::{any_config, any_ops, check, config, pack, RefCache, CLASSES, WAYS};
 use proptest::prelude::*;
-use pudiannao_memsim::{
-    Access, AccessKind, Addr, Cache, CacheConfig, ProbePath, ReplacementPolicy, VarClass,
-    WritePolicy,
-};
+use pudiannao_memsim::{Access, Addr, Cache, CacheConfig};
 
-fn geometry(ways: u32, sets: u32, line_bytes: u32) -> CacheConfig {
-    CacheConfig {
-        capacity_bytes: line_bytes * ways * sets,
-        line_bytes,
-        ways,
-        replacement: ReplacementPolicy::Lru,
-        write_policy: WritePolicy::WriteBackAllocate,
-    }
-}
-
-/// `(set, way, tag-if-valid, valid, dirty, stamp)` per line.
-type LineStates = Vec<(u32, u32, u64, bool, bool, u64)>;
-
-fn states(cache: &Cache) -> LineStates {
-    cache
-        .line_states()
-        .into_iter()
-        .map(|l| (l.set, l.way, if l.valid { l.tag } else { 0 }, l.valid, l.dirty, l.stamp))
-        .collect()
-}
-
-/// A conflict-heavy mixed trace: reads and writes over a narrow window so
-/// every set sees hits, misses, and evictions.
-fn mixed_trace(len: u64) -> Vec<Access> {
+/// A conflict-heavy mixed trace: reads and writes striding through a
+/// `window`-byte region so every set sees hits, misses and evictions.
+fn mixed_trace(len: u64, window: u64) -> Vec<Vec<Access>> {
     (0..len)
         .map(|i| {
-            let addr = Addr((i * 67) % 4096);
-            let class = [VarClass::Hot, VarClass::Cold, VarClass::Output][(i % 3) as usize];
-            if i % 5 == 0 {
+            let addr = Addr((i * 67) % window);
+            let class = CLASSES[(i % 3) as usize];
+            vec![if i % 5 == 0 {
                 Access::write(addr, 8, class)
             } else {
                 Access::read(addr, 32, class)
-            }
+            }]
         })
         .collect()
 }
 
-/// Runs `trace` through a fresh cache forced onto `path`, both batched
-/// and per-op; returns `(stats, line_states)` of the batched pass after
-/// asserting the two drivers agree with each other.
-fn run_forced(
-    cfg: &CacheConfig,
-    path: ProbePath,
-    trace: &[Access],
-) -> Option<(String, LineStates)> {
-    let mut block = Cache::new(cfg.clone()).unwrap();
-    if !block.force_probe_path(path) {
-        return None;
+/// Runs `ops` through `access_scalar` and one `access_soa` block on
+/// fresh caches and checks both against the reference model.
+fn check_both_paths(cfg: &CacheConfig, ops: &[Vec<Access>]) {
+    let reference = RefCache::run(cfg, ops);
+    let mut scalar = Cache::new(cfg.clone()).unwrap();
+    for &a in ops.iter().flatten() {
+        scalar.access_scalar(a);
     }
-    block.access_block(trace);
-    let mut per_op = Cache::new(cfg.clone()).unwrap();
-    assert!(per_op.force_probe_path(path));
-    for &a in trace {
-        per_op.access(a);
-    }
-    assert_eq!(block.stats(), per_op.stats(), "{path:?}: block vs per-op stats");
-    assert_eq!(states(&block), states(&per_op), "{path:?}: block vs per-op line states");
-    Some((format!("{:?}", block.stats()), states(&block)))
+    check(&scalar, &reference, &format!("{cfg:?} access_scalar"));
+    let mut soa = Cache::new(cfg.clone()).unwrap();
+    soa.access_soa(&pack(ops, cfg.line_bytes, ops.len(), 1)[0]);
+    check(&soa, &reference, &format!("{cfg:?} access_soa"));
 }
 
-/// Ways outside every specialised probe (3 rejects `Simd`, 16 rejects
-/// both `Swar` and `Simd`) still run the full differential trace
-/// correctly on whatever paths remain.
+const POLICIES: [(bool, bool); 4] = [(true, true), (true, false), (false, true), (false, false)];
+
+/// Ways the SWAR probe handles without a power-of-two layout (3, 5) and
+/// ways past its eight lanes (16, 24, linear scan) run a long
+/// conflict-heavy trace correctly under every policy pair. The 64 KiB
+/// window maps 64 lines onto each of the 16 sets, so even 24-way sets
+/// fill and evict.
 #[test]
 fn odd_way_counts_fall_back_and_agree() {
-    let trace = mixed_trace(6000);
+    let ops = mixed_trace(6000, 64 * 1024);
     for ways in [3u32, 5, 16, 24] {
-        let cfg = geometry(ways, 16, 64);
-        let baseline = run_forced(&cfg, ProbePath::Scan, &trace).expect("Scan always runs");
-        for path in [ProbePath::Swar, ProbePath::Simd] {
-            if let Some(result) = run_forced(&cfg, path, &trace) {
-                assert_eq!(result, baseline, "ways={ways} {path:?} vs Scan");
-            }
+        for (lru, wb) in POLICIES {
+            check_both_paths(&config(ways, 16, 64, lru, wb), &ops);
         }
     }
-}
-
-/// Auto-selection: `Swar` for every packable geometry, linear `Scan`
-/// beyond 8 ways; `force_probe_path` refuses what the geometry cannot
-/// run and leaves the active path unchanged.
-#[test]
-fn probe_selection_and_rejection() {
-    let mut three = Cache::new(geometry(3, 8, 64)).unwrap();
-    assert_eq!(three.probe_path(), ProbePath::Swar);
-    assert!(!three.force_probe_path(ProbePath::Simd), "Simd needs ways 4 or 8");
-    assert_eq!(three.probe_path(), ProbePath::Swar, "rejected force must not switch");
-
-    let mut wide = Cache::new(geometry(16, 8, 64)).unwrap();
-    assert_eq!(wide.probe_path(), ProbePath::Scan);
-    assert!(!wide.force_probe_path(ProbePath::Swar), "Swar packs at most 8 ways");
-    assert!(!wide.force_probe_path(ProbePath::Simd));
-    assert_eq!(wide.probe_path(), ProbePath::Scan);
-    assert!(wide.force_probe_path(ProbePath::Scan));
 }
 
 /// A single-set cache (every line aliases into set 0) exercises the
-/// degenerate set-index masks on every probe path.
+/// degenerate set-index masks on every lookup.
 #[test]
 fn single_set_caches_agree_on_every_path() {
-    let trace = mixed_trace(4000);
-    for ways in [1u32, 2, 4, 8] {
-        let cfg = geometry(ways, 1, 64);
-        assert_eq!(cfg.sets(), 1);
-        let baseline = run_forced(&cfg, ProbePath::Scan, &trace).expect("Scan always runs");
-        for path in [ProbePath::Swar, ProbePath::Simd] {
-            if let Some(result) = run_forced(&cfg, path, &trace) {
-                assert_eq!(result, baseline, "single-set ways={ways} {path:?} vs Scan");
-            }
+    let ops = mixed_trace(4000, 4096);
+    for ways in WAYS {
+        for (lru, wb) in POLICIES {
+            let cfg = config(ways, 1, 64, lru, wb);
+            assert_eq!(cfg.sets(), 1);
+            check_both_paths(&cfg, &ops);
         }
     }
-}
-
-const CLASSES: [VarClass; 4] = [VarClass::Hot, VarClass::Cold, VarClass::Output, VarClass::Stream];
-
-fn any_access() -> impl Strategy<Value = Access> {
-    (0u64..2048, 1u32..97, any::<bool>(), 0usize..4).prop_map(|(addr, bytes, write, class)| {
-        let kind = if write { AccessKind::Write } else { AccessKind::Read };
-        Access { addr: Addr(addr), bytes, kind, class: CLASSES[class] }
-    })
-}
-
-fn any_geometry() -> impl Strategy<Value = CacheConfig> {
-    (
-        (
-            prop_oneof![Just(1u32), Just(3u32), Just(4u32), Just(8u32), Just(16u32)],
-            prop_oneof![Just(1u32), Just(2u32), Just(4u32)],
-            prop_oneof![Just(16u32), Just(64u32)],
-        ),
-        (any::<bool>(), any::<bool>()),
-    )
-        .prop_map(|((ways, sets, line_bytes), (lru, wb))| CacheConfig {
-            capacity_bytes: line_bytes * ways * sets,
-            line_bytes,
-            ways,
-            replacement: if lru { ReplacementPolicy::Lru } else { ReplacementPolicy::Fifo },
-            write_policy: if wb {
-                WritePolicy::WriteBackAllocate
-            } else {
-                WritePolicy::WriteAroundNoAllocate
-            },
-        })
 }
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
-    /// The portable probes and the `std::arch` probe produce identical
-    /// statistics and line states on arbitrary traces and geometries
-    /// (`Simd` legs skip on hosts without the ISA).
+    /// Both lookups, reached through both entry points, produce the
+    /// reference statistics and line states on arbitrary traces and
+    /// geometries.
     #[test]
-    fn all_probe_paths_agree(
-        cfg in any_geometry(),
-        trace in proptest::collection::vec(any_access(), 1..200),
-    ) {
-        let baseline = run_forced(&cfg, ProbePath::Scan, &trace).expect("Scan always runs");
-        for path in [ProbePath::Swar, ProbePath::Simd] {
-            if let Some(result) = run_forced(&cfg, path, &trace) {
-                prop_assert_eq!(&result, &baseline, "{:?} diverged from Scan", path);
-            }
-        }
+    fn all_probe_paths_agree(cfg in any_config(), ops in any_ops(1..80)) {
+        check_both_paths(&cfg, &ops);
     }
 }

@@ -20,7 +20,7 @@ proptest! {
     fn accounting_is_consistent(trace in proptest::collection::vec(any_access(), 1..300)) {
         let mut cache = Cache::new(CacheConfig::paper_default()).unwrap();
         for a in &trace {
-            cache.access(*a);
+            cache.access_scalar(*a);
         }
         let s = cache.stats();
         // Accesses are counted per touched cache line (a 4-byte access
@@ -49,7 +49,7 @@ proptest! {
             for _ in 0..passes {
                 let before = cache.stats().read_misses;
                 for &a in &addrs {
-                    cache.access(Access::read(Addr(a * 4), 4, VarClass::Hot));
+                    cache.access_scalar(Access::read(Addr(a * 4), 4, VarClass::Hot));
                 }
                 misses.push(cache.stats().read_misses - before);
             }
@@ -75,7 +75,7 @@ proptest! {
             };
             let mut cache = Cache::new(cfg).unwrap();
             for &a in &addrs {
-                cache.access(Access::read(Addr(a * 4), 4, VarClass::Hot));
+                cache.access_scalar(Access::read(Addr(a * 4), 4, VarClass::Hot));
             }
             cache.stats().read_misses
         };

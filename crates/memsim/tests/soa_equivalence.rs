@@ -1,159 +1,38 @@
-//! Differential proptests for the SoA block pipeline: packing an op
-//! stream into an [`AccessBlock`] must reproduce the scalar line-split
-//! sequence exactly, and [`Cache::access_soa`] over the packed block must
-//! match [`Cache::access_block`] over the equivalent AoS stream — stats
-//! AND line states — across every policy/geometry combination.
+//! Differential proptest for the SoA block pipeline: [`Cache::access_soa`]
+//! over a packed [`AccessBlock`] must leave the cache exactly where the
+//! AoS reference pass, [`Cache::access_scalar`] over the flattened
+//! `Access` stream, leaves it — stats AND line states — and both must
+//! match the [`RefCache`] oracle in `common`.
 
+mod common;
+
+use common::{any_config, any_ops, check, states, RefCache};
 use proptest::prelude::*;
-use pudiannao_memsim::{
-    Access, AccessBlock, AccessKind, Addr, Cache, CacheConfig, ReplacementPolicy, VarClass,
-    WritePolicy,
-};
-
-const CLASSES: [VarClass; 4] = [VarClass::Hot, VarClass::Cold, VarClass::Output, VarClass::Stream];
-
-fn any_access() -> impl Strategy<Value = Access> {
-    (0u64..8192, 0u32..96, any::<bool>(), 0usize..4).prop_map(|(addr, bytes, write, class)| {
-        let kind = if write { AccessKind::Write } else { AccessKind::Read };
-        Access { addr: Addr(addr), bytes, kind, class: CLASSES[class] }
-    })
-}
-
-fn any_op() -> impl Strategy<Value = Vec<Access>> {
-    proptest::collection::vec(any_access(), 1..4)
-}
-
-fn any_config() -> impl Strategy<Value = CacheConfig> {
-    (
-        prop_oneof![Just(16u32), Just(64u32)],
-        prop_oneof![Just(1u32), Just(2u32), Just(4u32), Just(8u32)],
-        any::<bool>(),
-        any::<bool>(),
-    )
-        .prop_map(|(line_bytes, ways, lru, wb)| CacheConfig {
-            // 8 sets regardless of geometry: small enough to force
-            // evictions, large enough to exercise set indexing.
-            capacity_bytes: line_bytes * ways * 8,
-            line_bytes,
-            ways,
-            replacement: if lru { ReplacementPolicy::Lru } else { ReplacementPolicy::Fifo },
-            write_policy: if wb {
-                WritePolicy::WriteBackAllocate
-            } else {
-                WritePolicy::WriteAroundNoAllocate
-            },
-        })
-}
-
-/// The scalar reference expansion of one access: the same split loop
-/// [`Cache::access`] runs, producing `(line_addr, bytes, kind, class)`
-/// touches.
-fn reference_entries(
-    ops: &[Vec<Access>],
-    line_bytes: u32,
-) -> Vec<(u64, u32, AccessKind, VarClass)> {
-    let shift = line_bytes.trailing_zeros();
-    let mut out = Vec::new();
-    for op in ops {
-        for a in op {
-            let start = a.addr.0 >> shift;
-            let end = (a.addr.0 + u64::from(a.bytes.max(1)) - 1) >> shift;
-            for line in start..=end {
-                out.push((line, a.bytes, a.kind, a.class));
-            }
-        }
-    }
-    out
-}
-
-fn line_state_key(cache: &Cache) -> Vec<(u32, u32, u64, bool, bool, u64)> {
-    cache
-        .line_states()
-        .into_iter()
-        .map(|l| (l.set, l.way, if l.valid { l.tag } else { 0 }, l.valid, l.dirty, l.stamp))
-        .collect()
-}
+use pudiannao_memsim::{AccessBlock, Cache};
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
-    /// Pack/unpack round-trip: the block's decoded entries are exactly
-    /// the scalar line-split expansion of the op stream, and the op count
-    /// is conserved.
+    /// The SoA pass over a packed block is bit-identical to the AoS pass
+    /// over the flattened stream for every replacement/write-policy/
+    /// geometry combination, including the write-around paths that
+    /// consume the `bytes` column the write-back instantiations elide.
     #[test]
-    fn pack_matches_scalar_expansion(
-        ops in proptest::collection::vec(any_op(), 1..40),
-        wide_lines in any::<bool>(),
-    ) {
-        let line_bytes = if wide_lines { 64 } else { 16 };
-        let mut block = AccessBlock::new(line_bytes);
-        for op in &ops {
-            block.push_op(op);
-        }
-        prop_assert_eq!(block.ops(), ops.len() as u64);
-        prop_assert_eq!(block.line_bytes(), line_bytes);
-        let got: Vec<_> = block.entries().collect();
-        prop_assert_eq!(got, reference_entries(&ops, line_bytes));
-    }
-
-    /// The SoA pass over a packed block leaves the cache bit-identical —
-    /// every counter and every line state — to the AoS block pass over
-    /// the flattened stream, for every replacement/write-policy/geometry
-    /// combination (including the write-around paths that consume the
-    /// `bytes` column the write-back instantiations elide).
-    #[test]
-    fn soa_pass_matches_aos_pass(
-        cfg in any_config(),
-        ops in proptest::collection::vec(any_op(), 1..60),
-    ) {
-        let flat: Vec<Access> = ops.iter().flatten().copied().collect();
+    fn soa_pass_matches_aos_pass(cfg in any_config(), ops in any_ops(1..60)) {
         let mut aos = Cache::new(cfg.clone()).unwrap();
-        aos.access_block(&flat);
+        for &a in ops.iter().flatten() {
+            aos.access_scalar(a);
+        }
 
         let mut block = AccessBlock::new(cfg.line_bytes);
         for op in &ops {
             block.push_op(op);
         }
-        let mut soa = Cache::new(cfg).unwrap();
+        let mut soa = Cache::new(cfg.clone()).unwrap();
         soa.access_soa(&block);
 
         prop_assert_eq!(soa.stats(), aos.stats());
-        prop_assert_eq!(line_state_key(&soa), line_state_key(&aos));
-    }
-
-    /// Splitting a stream across several blocks (with `extend_from_block`
-    /// splicing them back together) changes nothing: one block holding
-    /// everything equals committing the original stream.
-    #[test]
-    fn spliced_blocks_equal_one_block(
-        ops in proptest::collection::vec(any_op(), 2..40),
-        split in 1usize..39,
-    ) {
-        let cfg = CacheConfig::paper_default();
-        let split = split.min(ops.len() - 1);
-        let mut head = AccessBlock::new(cfg.line_bytes);
-        for op in &ops[..split] {
-            head.push_op(op);
-        }
-        let mut tail = AccessBlock::new(cfg.line_bytes);
-        for op in &ops[split..] {
-            tail.push_op(op);
-        }
-        let mut spliced = AccessBlock::new(cfg.line_bytes);
-        spliced.extend_from_block(&head);
-        spliced.extend_from_block(&tail);
-
-        let mut whole = AccessBlock::new(cfg.line_bytes);
-        for op in &ops {
-            whole.push_op(op);
-        }
-        prop_assert_eq!(&spliced, &whole);
-
-        let mut a = Cache::new(cfg.clone()).unwrap();
-        a.access_soa(&spliced);
-        let mut b = Cache::new(cfg).unwrap();
-        b.access_soa(&whole);
-        prop_assert_eq!(a.stats(), b.stats());
-        prop_assert_eq!(line_state_key(&a), line_state_key(&b));
+        prop_assert_eq!(states(&soa), states(&aos));
+        check(&soa, &RefCache::run(&cfg, &ops), "access_soa");
     }
 }

@@ -21,7 +21,7 @@
 //! SIMD op and nothing for misses, so a slot's service time is its op
 //! count however warm the cache is. The fleet therefore never replays a
 //! trace per request. [`ServingCatalog::service_costs`] runs each slot
-//! once through a fresh engine and returns one [`ServiceCost`] row per
+//! once from a reset engine and returns one [`ServiceCost`] row per
 //! slot; the fleet builds that table once per run and adds up rows.
 //!
 //! ## Trace-template cache
@@ -36,7 +36,7 @@
 //! [`SimdEngine::commit_block`]: pudiannao_memsim::SimdEngine::commit_block
 
 use pudiannao_codegen::phases::Phase;
-use pudiannao_memsim::kernels::{self, ct, dnn, kmeans, knn, linreg, nb, svm, TraceSink};
+use pudiannao_memsim::kernels::{ct, dnn, kmeans, knn, linreg, nb, svm, TraceSink};
 use pudiannao_memsim::{Access, AccessBlock, BatchSink, CacheConfig, SimdEngine, Workload};
 
 use crate::request::SizeTier;
@@ -101,17 +101,19 @@ impl ServingCatalog {
     }
 
     /// The service-cost table: one row per slot, indexed by
-    /// [`slot_index`], each from one cold run over `cache`.
+    /// [`slot_index`], each from one cold run over `cache`. All slots run
+    /// through one engine, reset per slot by [`Workload::run`].
     ///
     /// # Panics
     ///
     /// Panics if `cache` is invalid.
     #[must_use]
     pub fn service_costs(&self, cache: &CacheConfig) -> Vec<ServiceCost> {
+        let mut engine = SimdEngine::new(cache.clone()).expect("valid cache config");
         self.entries
             .iter()
             .map(|w| {
-                let stats = kernels::run_fresh(w.as_ref(), cache);
+                let stats = w.run(&mut engine);
                 ServiceCost {
                     service_ns: stats.cycles,
                     ops: stats.ops,

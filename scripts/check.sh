@@ -295,17 +295,9 @@ if [[ "${1:-}" == "--bench" ]]; then
     echo "==> cargo build --release"
     cargo build --workspace --release -q
 
-    echo "==> coalesce-equivalence proptests (fast cache path vs reference model)"
-    cargo test -q -p pudiannao-memsim --test coalesce_equivalence
-
-    echo "==> probe-path differential suite (Scan vs SWAR vs std::arch; SIMD legs skip without the ISA)"
-    cargo test -q -p pudiannao-memsim --test probe_paths
-
-    echo "==> batched-execution differential suite (interleaved run_batch vs sequential runs)"
-    cargo test -q -p pudiannao-memsim --test batch_equivalence
-
-    echo "==> SoA block differential suite (AccessBlock pack + access_soa vs AoS reference)"
-    cargo test -q -p pudiannao-memsim --test soa_equivalence
+    echo "==> cache differential suites (access_scalar, access_soa, lookups, engine and batch paths vs reference model)"
+    cargo test -q -p pudiannao-memsim --test cache_equivalence --test coalesce_equivalence \
+        --test probe_paths --test soa_equivalence
 
     echo "==> trace-template-cache equivalence suite (cached replay vs fresh generation)"
     cargo test -q -p pudiannao-serve --test trace_cache
