@@ -280,6 +280,70 @@ impl AluOpCounts {
     }
 }
 
+/// A bounded drop-oldest ring: once it holds `capacity` items, each push
+/// evicts the oldest, so a truncated trace keeps the most recent events.
+/// Backs both the executor's event trace ([`TraceReport`]) and the serving
+/// fleet's span trace; each owner counts the drops [`EventRing::push`]
+/// reports.
+#[derive(Clone, Debug, PartialEq, Eq)]
+pub struct EventRing<T> {
+    capacity: usize,
+    items: Vec<T>,
+    /// Index of the oldest item once the ring has wrapped.
+    start: usize,
+}
+
+impl<T> Default for EventRing<T> {
+    fn default() -> EventRing<T> {
+        EventRing::new(0, 0)
+    }
+}
+
+impl<T> EventRing<T> {
+    /// An empty ring holding at most `capacity` items, with room for
+    /// `reserve` of them allocated up front.
+    #[must_use]
+    pub fn new(capacity: usize, reserve: usize) -> EventRing<T> {
+        EventRing { capacity, items: Vec::with_capacity(reserve.min(capacity)), start: 0 }
+    }
+
+    /// Appends `item`. Returns whether an item was dropped to make room:
+    /// the oldest one, or `item` itself in a zero-capacity ring.
+    #[inline]
+    pub fn push(&mut self, item: T) -> bool {
+        if self.items.len() < self.capacity {
+            self.items.push(item);
+            return false;
+        }
+        if let Some(slot) = self.items.get_mut(self.start) {
+            *slot = item;
+            self.start += 1;
+            if self.start == self.capacity {
+                self.start = 0;
+            }
+        }
+        true
+    }
+
+    /// The held items, oldest first.
+    pub fn iter(&self) -> impl Iterator<Item = &T> + Clone + '_ {
+        let (newer, older) = self.items.split_at(self.start);
+        older.iter().chain(newer)
+    }
+
+    /// Held item count (at most the capacity).
+    #[must_use]
+    pub fn len(&self) -> usize {
+        self.items.len()
+    }
+
+    /// Whether the ring holds nothing.
+    #[must_use]
+    pub fn is_empty(&self) -> bool {
+        self.items.is_empty()
+    }
+}
+
 /// Everything one traced run recorded. Produced by
 /// [`Accelerator::run`](crate::Accelerator::run) when tracing is enabled.
 #[derive(Clone, Debug, Default, PartialEq)]
@@ -296,17 +360,15 @@ pub struct TraceReport {
     pub ping_pong_flips: u64,
     /// Events discarded because the ring was full.
     pub events_dropped: u64,
-    events: Vec<TraceEvent>,
-    ring_start: usize,
+    events: EventRing<TraceEvent>,
     record_events: bool,
-    event_capacity: usize,
 }
 
 impl TraceReport {
     pub(crate) fn new(config: &TraceConfig) -> TraceReport {
         TraceReport {
             record_events: config.events,
-            event_capacity: config.event_capacity,
+            events: EventRing::new(config.event_capacity, 0),
             ..TraceReport::default()
         }
     }
@@ -334,21 +396,11 @@ impl TraceReport {
     /// Borrowing iterator over the recorded events, oldest first — the
     /// same order as [`TraceReport::events`] without cloning the ring.
     pub fn events_iter(&self) -> impl Iterator<Item = &TraceEvent> + Clone + '_ {
-        self.events[self.ring_start..].iter().chain(self.events[..self.ring_start].iter())
+        self.events.iter()
     }
 
     fn push_event(&mut self, event: TraceEvent) {
-        if !self.record_events || self.event_capacity == 0 {
-            if self.record_events {
-                self.events_dropped += 1;
-            }
-            return;
-        }
-        if self.events.len() < self.event_capacity {
-            self.events.push(event);
-        } else {
-            self.events[self.ring_start] = event;
-            self.ring_start = (self.ring_start + 1) % self.event_capacity;
+        if self.record_events && self.events.push(event) {
             self.events_dropped += 1;
         }
     }
@@ -573,6 +625,23 @@ impl fmt::Display for RunReport {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn event_ring_evicts_oldest_first_across_wraps() {
+        let mut ring = EventRing::new(3, 1);
+        for i in 0..3u32 {
+            assert!(!ring.push(i), "room left: nothing dropped");
+        }
+        for i in 3..8u32 {
+            assert!(ring.push(i), "full: the oldest is dropped");
+            let held: Vec<u32> = ring.iter().copied().collect();
+            assert_eq!(held, [i - 2, i - 1, i], "order kept across the wrap");
+        }
+        assert_eq!(ring.len(), 3);
+        let mut empty = EventRing::new(0, 8);
+        assert!(empty.push(1u32), "a zero-capacity ring drops every item");
+        assert!(empty.is_empty() && empty.iter().next().is_none());
+    }
 
     #[test]
     fn ring_keeps_the_newest_events() {

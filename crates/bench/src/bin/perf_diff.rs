@@ -1,28 +1,23 @@
 //! Benchmark-history recorder and perf-regression gate; see
-//! `pudiannao_bench::profile`.
+//! `pudiannao_bench::profile` for the record and the gate table.
 //!
-//! Usage:
-//!
-//! - `perf_diff --record [--history PATH]` — append the current modelled
-//!   per-phase cycles/energy as one JSONL line (default
-//!   `BENCH_history.jsonl`).
-//! - `perf_diff --check [--history PATH] [--inflate-cycles-pct P]` —
-//!   compare the current model against the last recorded line; exit 1 if
-//!   any phase regressed more than 2% in cycles or energy.
-//!   `--inflate-cycles-pct` applies a synthetic slowdown to the current
-//!   run — the self-check `scripts/check.sh --perf-gate` uses it to
-//!   prove a +5% regression actually fails the gate.
-//!
-//! Records carry a schema version and the configuration fingerprint;
-//! the gate refuses to compare across either. Output is deterministic:
-//! byte-identical at any `REPRO_THREADS` setting.
+//! - `perf_diff --record [--history PATH]` appends the current record as
+//!   one JSONL line (default `BENCH_history.jsonl`); the bytes already in
+//!   the file are never rewritten.
+//! - `perf_diff --check [--history PATH] [--inflate-cycles-pct P]` prints
+//!   one `[perf]` line per gated key of the current record vs the last
+//!   recorded line and one `[perf] FAIL` line per regression. Exit 1 on a
+//!   regression past a gate (cycles or energy +2%, serving throughput or
+//!   utilisation −2%, chaos SLO attainment −10 per-mille points, windowed
+//!   p99 +5%), exit 2 on incomparable records (schema, fingerprint, phase
+//!   list, shard list or metrics window changed). `--inflate-cycles-pct`
+//!   is the synthetic slowdown `scripts/check.sh --perf-gate` uses to
+//!   prove a +5% regression fails. Output is byte-identical at any
+//!   `REPRO_THREADS`.
 
 use pudiannao_accel::json;
-use pudiannao_bench::profile::{
-    diff_chaos, diff_metrics, diff_records, diff_serve, history_record, with_inflated_cycles,
-    ChaosDelta, MetricsDelta, PhaseDelta, ServeDelta, CHAOS_SLO_SLACK_POINTS,
-    METRICS_P99_SLACK_PCT, REGRESSION_THRESHOLD_PCT,
-};
+use pudiannao_bench::profile::{diff, history_record, with_inflated_cycles};
+use std::io::{Read, Seek, SeekFrom, Write};
 
 fn fail(msg: &str) -> ! {
     eprintln!("error: {msg}");
@@ -53,21 +48,13 @@ fn main() {
         }
     }
 
-    let current = {
-        let record = history_record();
-        if inflate_pct == 0.0 {
-            record
-        } else {
-            with_inflated_cycles(&record, inflate_pct)
-        }
-    };
+    let record = history_record();
+    let current =
+        if inflate_pct == 0.0 { record } else { with_inflated_cycles(&record, inflate_pct) };
 
     match mode {
         Some("record") => {
-            let mut line = current.to_string();
-            line.push('\n');
-            let existing = std::fs::read_to_string(&history).unwrap_or_default();
-            if let Err(e) = std::fs::write(&history, existing + &line) {
+            if let Err(e) = append_line(&history, &current.to_string()) {
                 eprintln!("error: cannot write {history}: {e}");
                 std::process::exit(1);
             }
@@ -77,111 +64,39 @@ fn main() {
             println!("[perf] recorded {phases} phases for {fp} -> {history}");
         }
         Some("check") => {
-            let contents = match std::fs::read_to_string(&history) {
-                Ok(c) => c,
-                Err(e) => fail(&format!("cannot read {history}: {e} (run --record first)")),
-            };
+            let contents = std::fs::read_to_string(&history).unwrap_or_else(|e| {
+                fail(&format!("cannot read {history}: {e} (run --record first)"))
+            });
             let Some(last) = contents.lines().rev().find(|l| !l.trim().is_empty()) else {
                 fail(&format!("{history} has no records (run --record first)"));
             };
-            let baseline = match json::parse(last) {
-                Ok(v) => v,
-                Err(e) => fail(&format!("last record in {history} is not valid JSON: {e}")),
-            };
-            let deltas = match diff_records(&baseline, &current) {
-                Ok(d) => d,
-                Err(e) => fail(&e),
-            };
-            for d in &deltas {
-                println!(
-                    "[perf] {:<10} cycles {:+.2}%  energy {:+.2}%",
-                    d.label, d.cycles_pct, d.energy_pct
-                );
-            }
-            let serve_deltas = match diff_serve(&baseline, &current) {
-                Ok(d) => d,
-                Err(e) => fail(&e),
-            };
-            if serve_deltas.is_empty() && baseline.get("serve").is_none() {
-                println!("[perf] serve: baseline predates the serving sweep, skipping");
-            }
-            for d in &serve_deltas {
-                println!(
-                    "[perf] serve {}-shard throughput {:+.2}%  p99 {:+.2}%  util {:+.2}%",
-                    d.shards, d.throughput_pct, d.p99_pct, d.util_pct
-                );
-            }
-            let chaos_deltas = match diff_chaos(&baseline, &current) {
-                Ok(d) => d,
-                Err(e) => fail(&e),
-            };
-            if chaos_deltas.is_empty() && baseline.get("chaos").is_none() {
-                println!("[perf] chaos: baseline predates the chaos headline, skipping");
-            }
-            for d in &chaos_deltas {
-                println!("[perf] chaos {} arm SLO {:+} permille points", d.arm, d.slo_points);
-            }
-            let metrics_deltas = match diff_metrics(&baseline, &current) {
-                Ok(d) => d,
-                Err(e) => fail(&e),
-            };
-            if metrics_deltas.is_empty() && baseline.get("metrics").is_none() {
-                println!("[perf] metrics: baseline predates the metrics headline, skipping");
-            }
-            for d in &metrics_deltas {
-                println!(
-                    "[perf] metrics windowed_p99_max {:+.2}%  overall_p99 {:+.2}%",
-                    d.windowed_p99_max_pct, d.overall_p99_pct
-                );
-            }
-            let regressed: Vec<&PhaseDelta> = deltas.iter().filter(|d| d.regressed()).collect();
-            let serve_regressed: Vec<&ServeDelta> =
-                serve_deltas.iter().filter(|d| d.regressed()).collect();
-            let chaos_regressed: Vec<&ChaosDelta> =
-                chaos_deltas.iter().filter(|d| d.regressed()).collect();
-            let metrics_regressed: Vec<&MetricsDelta> =
-                metrics_deltas.iter().filter(|d| d.regressed()).collect();
-            if regressed.is_empty()
-                && serve_regressed.is_empty()
-                && chaos_regressed.is_empty()
-                && metrics_regressed.is_empty()
-            {
-                println!(
-                    "[perf] OK: no phase or serving point regressed more than \
-                     {REGRESSION_THRESHOLD_PCT}% vs the last record"
-                );
+            let baseline = json::parse(last).unwrap_or_else(|e| {
+                fail(&format!("last record in {history} is not valid JSON: {e}"))
+            });
+            let deltas = diff(&baseline, &current).unwrap_or_else(|e| fail(&e));
+            deltas.iter().for_each(|d| println!("[perf] {d}"));
+            let regressed: Vec<_> = deltas.iter().filter(|d| d.regressed()).collect();
+            if regressed.is_empty() {
+                println!("[perf] OK: no gated key regressed vs the last record");
             } else {
-                for d in &regressed {
-                    println!(
-                        "[perf] FAIL {}: cycles {:+.2}% energy {:+.2}% (threshold \
-                         {REGRESSION_THRESHOLD_PCT}%)",
-                        d.label, d.cycles_pct, d.energy_pct
-                    );
-                }
-                for d in &serve_regressed {
-                    println!(
-                        "[perf] FAIL serve {}-shard: throughput {:+.2}% util {:+.2}% \
-                         (threshold -{REGRESSION_THRESHOLD_PCT}%)",
-                        d.shards, d.throughput_pct, d.util_pct
-                    );
-                }
-                for d in &chaos_regressed {
-                    println!(
-                        "[perf] FAIL chaos {} arm: SLO {:+} permille points (threshold \
-                         -{CHAOS_SLO_SLACK_POINTS})",
-                        d.arm, d.slo_points
-                    );
-                }
-                for d in &metrics_regressed {
-                    println!(
-                        "[perf] FAIL metrics: windowed_p99_max {:+.2}% (threshold \
-                         +{METRICS_P99_SLACK_PCT}%)",
-                        d.windowed_p99_max_pct
-                    );
-                }
+                regressed.iter().for_each(|d| println!("[perf] FAIL {d}"));
                 std::process::exit(1);
             }
         }
         _ => fail("pass exactly one of --record / --check"),
     }
+}
+
+/// Appends `line` to `path` (created if absent) in append mode, so the
+/// bytes already there stay as they are; a last line missing its newline
+/// gets one first.
+fn append_line(path: &str, line: &str) -> std::io::Result<()> {
+    let mut file = std::fs::OpenOptions::new().read(true).append(true).create(true).open(path)?;
+    let mut last = [b'\n'];
+    if let Some(end) = file.metadata()?.len().checked_sub(1) {
+        file.seek(SeekFrom::Start(end))?;
+        file.read_exact(&mut last)?;
+    }
+    let sep = if last[0] == b'\n' { "" } else { "\n" };
+    file.write_all(format!("{sep}{line}\n").as_bytes())
 }

@@ -8,13 +8,42 @@
 //! collected in experiment order, so both JSON files are byte-identical
 //! whatever the worker count — only the interleaving of the progress
 //! lines on stdout changes.
+//!
+//! Both outputs are opened before the experiments run, so an unwritable
+//! working directory fails at once (`error: cannot write …`, exit 1)
+//! rather than after the whole run; a file already there keeps its bytes
+//! until the new ones are ready.
 
 use pudiannao_accel::json::Value;
 use pudiannao_bench::{evaluation, locality, parallel, ExperimentReport};
+use std::fs::File;
+use std::io::Write;
 
 type Job = Box<dyn FnOnce() -> ExperimentReport + Send>;
 
+fn cannot_write(path: &str, e: &std::io::Error) -> ! {
+    eprintln!("error: cannot write {path}: {e}");
+    std::process::exit(1);
+}
+
+fn open(path: &str) -> File {
+    File::options()
+        .write(true)
+        .create(true)
+        .truncate(false)
+        .open(path)
+        .unwrap_or_else(|e| cannot_write(path, &e))
+}
+
+fn replace_contents(mut file: File, path: &str, text: &str) {
+    if let Err(e) = file.set_len(0).and_then(|()| file.write_all(text.as_bytes())) {
+        cannot_write(path, &e);
+    }
+}
+
 fn main() {
+    let summary_file = open("repro_summary.json");
+    let phases_file = open("phase_reports.json");
     let jobs: Vec<Job> = vec![
         Box::new(locality::fig02_knn_tiling),
         Box::new(locality::fig04_kmeans_tiling),
@@ -42,11 +71,10 @@ fn main() {
     let reports = parallel::run_indexed(jobs);
     let json =
         Value::array(reports.iter().map(ExperimentReport::to_json).collect()).to_string_pretty();
-    std::fs::write("repro_summary.json", &json).expect("writable working directory");
+    replace_contents(summary_file, "repro_summary.json", &json);
     println!("\nwrote repro_summary.json ({} experiments)", reports.len());
 
     let phase_json = evaluation::phase_reports_json();
-    std::fs::write("phase_reports.json", phase_json.to_string_pretty())
-        .expect("writable working directory");
+    replace_contents(phases_file, "phase_reports.json", &phase_json.to_string_pretty());
     println!("wrote phase_reports.json (13 per-phase run reports)");
 }

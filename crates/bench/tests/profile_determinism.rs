@@ -80,3 +80,44 @@ fn perf_gate_is_deterministic_and_catches_synthetic_regressions() {
 
     let _ = std::fs::remove_dir_all(&dir);
 }
+
+#[test]
+fn record_only_appends_to_the_history() {
+    let dir = std::env::temp_dir().join(format!("perf_record_{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    let current = pudiannao_bench::profile::history_record().to_string() + "\n";
+
+    // Nine lines, the last not UTF-8: a reader that decodes the file as
+    // text before rewriting it would lose them.
+    let mut old: Vec<u8> =
+        (0..8).flat_map(|i| format!("{{\"line\":{i}}}\n").into_bytes()).collect();
+    old.extend_from_slice(b"\xff\xfe not utf-8\n");
+    std::fs::write(dir.join("h.jsonl"), &old).unwrap();
+    assert!(perf_diff("1", &["--record", "--history", "h.jsonl"], &dir).status.success());
+    let new = std::fs::read(dir.join("h.jsonl")).unwrap();
+    assert!(new.starts_with(&old), "--record changed the existing bytes");
+    assert_eq!(&new[old.len()..], current.as_bytes(), "exactly the current record is added");
+
+    // A last line without its newline gets one before the new record.
+    std::fs::write(dir.join("cut.jsonl"), b"{\"line\":0}").unwrap();
+    assert!(perf_diff("1", &["--record", "--history", "cut.jsonl"], &dir).status.success());
+    let new = std::fs::read(dir.join("cut.jsonl")).unwrap();
+    assert_eq!(new, [b"{\"line\":0}\n".as_slice(), current.as_bytes()].concat());
+
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn repro_all_reports_an_unwritable_output() {
+    let dir = std::env::temp_dir().join(format!("repro_unwritable_{}", std::process::id()));
+    std::fs::create_dir_all(dir.join("repro_summary.json")).unwrap();
+    let out = Command::new(env!("CARGO_BIN_EXE_repro_all"))
+        .current_dir(&dir)
+        .output()
+        .expect("repro_all binary runs");
+    assert_eq!(out.status.code(), Some(1), "an unwritable output is an error exit, not a panic");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(stderr.starts_with("error: cannot write repro_summary.json"), "stderr was: {stderr}");
+    assert!(!stderr.contains("panicked"), "stderr was: {stderr}");
+    let _ = std::fs::remove_dir_all(&dir);
+}

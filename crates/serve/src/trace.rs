@@ -21,6 +21,7 @@
 
 use pudiannao_accel::json::Value;
 use pudiannao_accel::profile::TimelineBuilder;
+use pudiannao_accel::trace::EventRing;
 use pudiannao_memsim::Technique;
 
 use crate::report::ServeReport;
@@ -161,14 +162,12 @@ pub enum SpanEvent {
     Crash { shard: usize, at_ns: u64, until_ns: u64 },
 }
 
-/// The bounded span-event ring a traced fleet run fills. Drop-oldest,
-/// like the accel trace ring: a truncated timeline keeps the most recent
-/// events and reports how many it lost.
+/// The bounded span-event ring a traced fleet run fills: the accel
+/// [`EventRing`], so a truncated timeline keeps the most recent events
+/// and reports how many it lost.
 #[derive(Clone, Debug)]
 pub struct FleetTrace {
-    capacity: usize,
-    events: Vec<SpanEvent>,
-    ring_start: usize,
+    events: EventRing<SpanEvent>,
     /// Events evicted from the ring (surfaced in the report and the
     /// timeline's `otherData`; never silently).
     pub events_dropped: u64,
@@ -177,29 +176,22 @@ pub struct FleetTrace {
 impl FleetTrace {
     #[must_use]
     pub fn new(config: &TraceConfig) -> FleetTrace {
-        let capacity = config.event_capacity.max(1);
         FleetTrace {
-            capacity,
-            events: Vec::with_capacity(capacity.min(1 << 12)),
-            ring_start: 0,
+            events: EventRing::new(config.event_capacity.max(1), 1 << 12),
             events_dropped: 0,
         }
     }
 
     /// Records one event, evicting the oldest when full.
     pub fn push(&mut self, event: SpanEvent) {
-        if self.events.len() < self.capacity {
-            self.events.push(event);
-        } else {
-            self.events[self.ring_start] = event;
-            self.ring_start = (self.ring_start + 1) % self.capacity;
+        if self.events.push(event) {
             self.events_dropped = self.events_dropped.saturating_add(1);
         }
     }
 
     /// Buffered events, oldest first.
     pub fn events_iter(&self) -> impl Iterator<Item = &SpanEvent> {
-        self.events[self.ring_start..].iter().chain(self.events[..self.ring_start].iter())
+        self.events.iter()
     }
 
     /// Buffered event count.

@@ -6,7 +6,7 @@
 #   scripts/check.sh --bench     # hot-path timings + parallel-determinism check
 #   scripts/check.sh --faults    # fixed-seed fault-campaign smoke + pinned outcomes
 #   scripts/check.sh --profile   # timeline smoke + pinned bottleneck verdicts
-#   scripts/check.sh --perf-gate # per-phase cycle/energy regression gate
+#   scripts/check.sh --perf-gate # perf-regression gate (phases, serving sweep, chaos, metrics)
 #   scripts/check.sh --serve     # serving-fleet smoke + pinned admission counts
 #   scripts/check.sh --chaos     # chaos smoke: fault x defence sweep + pinned outcomes
 #   scripts/check.sh --serve-trace # fleet timeline smoke + pinned span/track counts
@@ -85,6 +85,9 @@ if [[ "${1:-}" == "--perf-gate" ]]; then
         exit 1
     fi
     echo "    synthetic regression correctly rejected"
+
+    echo "==> gate-table unit tests: every row's synthetic regression, refusals and skips"
+    cargo test -q -p pudiannao-bench --lib profile
 
     echo "OK: perf gate passed"
     exit 0
